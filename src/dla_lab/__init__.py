@@ -9,7 +9,8 @@ resulting loss-function purity/variance statistics.
 The layers, bottom up:
 
 ``paulis``
-    Bit-packed Pauli strings, exact commutators, inner products.
+    Bit-packed Pauli strings, the shared sparse-vector core, the Pauli
+    bracket kernel, inner products.
 ``symmetry``
     Qubit-permutation groups, orbits, Burnside counts, orbit compression.
 ``closure``

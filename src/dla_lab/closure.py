@@ -21,11 +21,16 @@ the algebra is nearly the whole ambient space.
 
 The same engine runs in three coordinate systems:
 
-* raw Pauli coordinates (keys are packed ``(x_mask << n) | z_mask`` ints);
+* raw Pauli coordinates (keys are packed ``(x_mask << n) | z_mask`` ints),
+  bracketed by the package's one Pauli kernel, ``paulis.pauli_bracket``;
 * ring-orbit coordinates for cycle graphs (keys are the packed canonical
-  representatives of dihedral orbits);
+  representatives of dihedral orbits), bracketed by the same kernel on a
+  representative against a whole orbit, then folded back to orbits;
 * type coordinates ``(p, q, r)`` for complete graphs, where only the two
   generators ever act, via their closed-form adjoint maps.
+
+The center and the commutator ideal are ranked by rank-only ledgers under
+the closure's memory budget.
 """
 
 from __future__ import annotations
@@ -33,9 +38,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
-from .paulis import PauliString, PauliVector, phase_exponent
+from .paulis import (
+    PauliVector,
+    dict_to_pauli_vector,
+    pauli_bracket,
+    pauli_vector_to_dict,
+    unpack_pauli,
+)
 
 DEFAULT_MEMORY_BUDGET = 10**8
 
@@ -62,19 +74,20 @@ def _to_int_row(vec) -> dict:
     return {k: int(c) for k, c in vec.items() if c}
 
 
-def _primitive(row: dict, pivot) -> None:
-    """Divide out the content and make the pivot coefficient positive."""
+def _primitive(row: dict, pivot) -> dict:
+    """The row over its content, pivot coefficient positive.
+
+    Always a new dict, built key by key, so a row whose table grew and
+    shrank during elimination is not stored with its spare slots.
+    """
     g = 0
     for c in row.values():
         g = gcd(g, c)
         if g == 1:
             break
-    if g > 1:
-        for k in row:
-            row[k] //= g
     if row[pivot] < 0:
-        for k in row:
-            row[k] = -row[k]
+        g = -g
+    return {k: c // g for k, c in row.items()}
 
 
 class LinearLedger:
@@ -115,9 +128,11 @@ class LinearLedger:
     def _forward_reduce(self, vec) -> dict:
         """Eliminate every existing pivot from a copy of vec (exact).
 
-        Elimination multipliers fall back to Fractions when the pivot
-        coefficient does not divide, so only the pivot row's keys are ever
-        touched; the caller clears denominators once at the end.
+        Fraction-free (Bareiss-style): when the pivot coefficient b does
+        not divide c, the step is w <- (b/g)*w - (c/g)*row with
+        g = gcd(b, c).  Pivots are positive, so the result is a positive
+        multiple of the rational residual; the caller divides out the
+        content once at the end.
         """
         w = _to_int_row(vec)
         if not w:
@@ -141,13 +156,15 @@ class LinearLedger:
                 continue
             row = rows[rid]
             b = row[k]
-            if isinstance(c, Fraction):
-                m = c / b
-            else:
-                q, rem = divmod(c, b)
-                m = q if rem == 0 else Fraction(c, b)
+            q, rem = divmod(c, b)
+            if rem:
+                g = gcd(b, c)
+                s = b // g
+                q = c // g
+                for kk in w:
+                    w[kk] *= s
             for kk, cc in row.items():
-                cur = w.get(kk, 0) - m * cc
+                cur = w.get(kk, 0) - q * cc
                 if cur == 0:
                     w.pop(kk, None)
                 else:
@@ -157,7 +174,7 @@ class LinearLedger:
         return w
 
     def reduce(self, vec) -> dict:
-        """Residual of vec against the current rows (no insertion)."""
+        """A positive multiple of vec's residual against the rows (no insertion)."""
         return self._forward_reduce(vec)
 
     def contains(self, vec) -> bool:
@@ -173,9 +190,8 @@ class LinearLedger:
         w = self._forward_reduce(vec)
         if not w:
             return None
-        w = _to_int_row(w)
         pivot = min(w)
-        _primitive(w, pivot)
+        w = _primitive(w, pivot)
         rid = len(self.rows)
         self.rows.append(w)
         self.pivots.append(pivot)
@@ -197,16 +213,20 @@ class LinearLedger:
         a = row[key]
         b = src[key]
         q, rem = divmod(a, b)
-        m = q if rem == 0 else Fraction(a, b)
-        new_row = dict(row)
+        if rem:
+            g = gcd(a, b)
+            s = b // g
+            q = a // g
+            new_row = {kk: s * cc for kk, cc in row.items()}
+        else:
+            new_row = dict(row)
         for kk, cc in src.items():
-            cur = new_row.get(kk, 0) - m * cc
+            cur = new_row.get(kk, 0) - q * cc
             if cur == 0:
                 new_row.pop(kk, None)
             else:
                 new_row[kk] = cur
-        new_row = _to_int_row(new_row)
-        _primitive(new_row, self.pivots[rid])
+        new_row = _primitive(new_row, self.pivots[rid])
         key_rows = self._key_rows
         for kk in row:
             if kk not in new_row:
@@ -258,47 +278,6 @@ def nullspace_combos(vectors: list[dict]) -> list[dict]:
 # coordinate systems
 
 
-def pack_pauli(p: PauliString) -> int:
-    return (p.x_mask << p.n) | p.z_mask
-
-
-def unpack_pauli(n: int, key: int) -> PauliString:
-    return PauliString(n, key >> n, key & ((1 << n) - 1))
-
-
-def pauli_vector_to_dict(v: PauliVector) -> dict:
-    return {pack_pauli(p): c for p, c in v.terms()}
-
-
-def dict_to_pauli_vector(n: int, d: dict) -> PauliVector:
-    return PauliVector(n, {unpack_pauli(n, k): c for k, c in d.items()})
-
-
-def _pauli_bracket(n: int):
-    mask = (1 << n) - 1
-
-    def bracket(u: dict, v: dict) -> dict:
-        acc: dict[int, object] = {}
-        for ku, cu in u.items():
-            x1 = ku >> n
-            z1 = ku & mask
-            for kv, cv in v.items():
-                x2 = kv >> n
-                z2 = kv & mask
-                if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1 == 0:
-                    continue
-                e = phase_exponent(x1, z1, x2, z2)
-                key = ((x1 ^ x2) << n) | (z1 ^ z2)
-                s = acc.get(key, 0) + (2 if e == 3 else -2) * cu * cv
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return acc
-
-    return bracket
-
-
 class _RingOrbitTools:
     """Dihedral orbits of packed Pauli keys for a ring of n qubits."""
 
@@ -343,35 +322,28 @@ def _ring_orbit_bracket(n: int, tools: _RingOrbitTools):
     [S(O_a), S(O_b)] is invariant, so it is determined by bracketing one
     representative of O_a against the full expansion of O_b and averaging
     back: the coefficient on orbit O equals |O_a|/|O| times the sum of the
-    raw product coefficients landing in O.  Exact integer output.
+    raw product coefficients landing in O.  The raw products come from the
+    Pauli kernel, one call per representative against the whole expansion
+    of v.  Exact integer output.
     """
-    mask = tools.mask
 
     def bracket(u: dict, v: dict) -> dict:
+        expanded: dict[int, int] = {}
+        for kb, cb in v.items():
+            expanded.update(dict.fromkeys(tools.orbit(kb)[2], cb))
         acc: dict[int, int] = {}
         for ka, ca in u.items():
-            x1 = ka >> n
-            z1 = ka & mask
-            size_a = tools.orbit(ka)[1]
-            for kb, cb in v.items():
-                members = tools.orbit(kb)[2]
-                wgt = ca * cb * size_a
-                for km in members:
-                    x2 = km >> n
-                    z2 = km & mask
-                    if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1 == 0:
-                        continue
-                    e = phase_exponent(x1, z1, x2, z2)
-                    key = ((x1 ^ x2) << n) | (z1 ^ z2)
-                    rep = tools.orbit(key)[0]
-                    acc[rep] = acc.get(rep, 0) + (2 if e == 3 else -2) * wgt
+            raw = pauli_bracket(n, {ka: ca * tools.orbit(ka)[1]}, expanded)
+            for key, c in raw.items():
+                rep = tools.orbit(key)[0]
+                acc[rep] = acc.get(rep, 0) + c
         out = {}
         for rep, total in acc.items():
             if total == 0:
                 continue
-            size = tools.orbit(rep)[1]
-            q, r = divmod(total, size)
-            assert r == 0, "orbit bracket must stay integral"
+            q, r = divmod(total, tools.orbit(rep)[1])
+            if r:
+                raise ArithmeticError("orbit bracket must stay integral")
             out[rep] = q
         return out
 
@@ -460,7 +432,9 @@ class DlaReport:
     orbit-representative dicts for ring-orbit runs, and
     ``{(p, q, r): int}`` dicts for complete-graph type coordinates.
     ``generator_count`` is the number of independent generators actually
-    used (the size of B0).
+    used (the size of B0).  ``ledger`` is the closure's span, in the
+    closure's packed coordinates; its memory budget also bounds the center
+    and ideal ledgers built from this report.
     """
 
     basis: list
@@ -469,10 +443,10 @@ class DlaReport:
     generator_count: int
     n: int
     coords: str
+    ledger: LinearLedger = field(repr=False, compare=False, default=None)
     _gen_dicts: list = field(repr=False, compare=False, default=None)
     _basis_dicts: list = field(repr=False, compare=False, default=None)
     _bracket: object = field(repr=False, compare=False, default=None)
-    _ledger: LinearLedger = field(repr=False, compare=False, default=None)
 
 
 def _closure_engine(gen_dicts, bracket, memory_budget):
@@ -520,7 +494,7 @@ def generate_dla(
         if g.n != n:
             raise ValueError("generators must share a qubit count")
     gen_dicts = [pauli_vector_to_dict(g) for g in generators]
-    bracket = _pauli_bracket(n)
+    bracket = partial(pauli_bracket, n)
     ledger, snaps, degree, used = _closure_engine(gen_dicts, bracket, memory_budget)
     basis = [dict_to_pauli_vector(n, s) for s in snaps]
     return DlaReport(
@@ -530,10 +504,10 @@ def generate_dla(
         generator_count=used,
         n=n,
         coords="pauli",
+        ledger=ledger,
         _gen_dicts=gen_dicts,
         _basis_dicts=snaps,
         _bracket=bracket,
-        _ledger=ledger,
     )
 
 
@@ -580,10 +554,10 @@ def generate_dla_orbit_compressed(
         generator_count=used,
         n=n,
         coords=coords,
+        ledger=ledger,
         _gen_dicts=gen_dicts,
         _basis_dicts=snaps,
         _bracket=bracket,
-        _ledger=ledger,
     )
 
 
@@ -618,6 +592,29 @@ def _publish(report: DlaReport, d: dict):
     return dict(d)
 
 
+def _center_map(report: DlaReport, generators):
+    """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis element."""
+    gen_dicts = _resolve_gen_dicts(report, generators)
+    bracket = report._bracket
+    for b in report._basis_dicts:
+        w = {}
+        for gi, gd in enumerate(gen_dicts):
+            for k, c in bracket(gd, b).items():
+                w[(gi, k)] = c
+        yield w
+
+
+def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
+    """Rank-only ledger of the vectors, under the report's memory budget."""
+    led = LinearLedger(report.ledger.memory_budget, maintain_rref=False)
+    try:
+        for v in vectors:
+            led.insert(v)
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(f"{exc}; gave up in the {stage} stage") from None
+    return led
+
+
 def center(report: DlaReport, generators=None) -> list:
     """Basis of the center: elements of the span killed by every generator.
 
@@ -625,64 +622,49 @@ def center(report: DlaReport, generators=None) -> list:
     closure (Jacobi identity), so the center is the null space of the
     stacked maps v -> [G_j, v] restricted to the basis span.  Exact.
     """
-    gen_dicts = _resolve_gen_dicts(report, generators)
-    bracket = report._bracket
-    stacked = []
-    for b in report._basis_dicts:
-        w = {}
-        for gi, gd in enumerate(gen_dicts):
-            for k, c in bracket(gd, b).items():
-                w[(gi, k)] = c
-        stacked.append(w)
-    combos = nullspace_combos(stacked)
+    combos = nullspace_combos(list(_center_map(report, generators)))
     return [_publish(report, _combine_basis(report, combo)) for combo in combos]
 
 
 def center_dimension(report: DlaReport, generators=None) -> int:
     """dim of the center via the rank of the stacked adjoint map."""
-    gen_dicts = _resolve_gen_dicts(report, generators)
-    bracket = report._bracket
-    led = LinearLedger(maintain_rref=False)
-    for b in report._basis_dicts:
-        w = {}
-        for gi, gd in enumerate(gen_dicts):
-            for k, c in bracket(gd, b).items():
-                w[(gi, k)] = c
-        led.insert(w)
+    led = _rank_ledger(report, "center", _center_map(report, generators))
     return report.dimension - led.rank
 
 
-def commutator_ideal(report: DlaReport, generators=None) -> list:
-    """Independent spanning set of [g, g] = span{[G_j, b] : b in basis}.
+def _ideal_ledger(report: DlaReport, generators=None) -> LinearLedger:
+    """Rank-only ledger spanning [g, g] = span{[G_j, b] : b in basis}.
 
     For a generated algebra this bracket stream spans the full ideal: by
     Jacobi induction any [u, v] with u, v in the closure reduces to brackets
-    of generators with closure elements.  Asserts the exact splitting
-    dim(center) + dim(ideal) == dim(g).
+    of generators with closure elements.  Each call builds a fresh ledger;
+    a caller that needs both the rank and membership tests builds it once.
     """
     gen_dicts = _resolve_gen_dicts(report, generators)
     bracket = report._bracket
-    led = LinearLedger(maintain_rref=False)
-    out = []
-    for gd in gen_dicts:
-        for b in report._basis_dicts:
-            img = bracket(gd, b)
-            if led.insert(img) is not None:
-                out.append(_publish(report, img))
-    cdim = center_dimension(report, generators)
-    assert cdim + led.rank == report.dimension, (
-        "center and commutator ideal must split the algebra: "
-        f"{cdim} + {led.rank} != {report.dimension}"
+    return _rank_ledger(
+        report,
+        "ideal",
+        (bracket(gd, b) for gd in gen_dicts for b in report._basis_dicts),
     )
-    return out
+
+
+def commutator_ideal(report: DlaReport, generators=None) -> list:
+    """Independent spanning set of [g, g]: the rows of its ledger.
+
+    Raises ArithmeticError unless the exact splitting
+    dim(center) + dim(ideal) == dim(g) holds.
+    """
+    led = _ideal_ledger(report, generators)
+    cdim = center_dimension(report, generators)
+    if cdim + led.rank != report.dimension:
+        raise ArithmeticError(
+            "center and commutator ideal must split the algebra: "
+            f"{cdim} + {led.rank} != {report.dimension}"
+        )
+    return [_publish(report, row) for row in led.rows]
 
 
 def ideal_dimension(report: DlaReport, generators=None) -> int:
     """dim of [g, g] without materializing the spanning vectors."""
-    gen_dicts = _resolve_gen_dicts(report, generators)
-    bracket = report._bracket
-    led = LinearLedger(maintain_rref=False)
-    for gd in gen_dicts:
-        for b in report._basis_dicts:
-            led.insert(bracket(gd, b))
-    return led.rank
+    return _ideal_ledger(report, generators).rank

@@ -3,7 +3,8 @@
 Everything all-to-all lives in type coordinates: the symmetric group on
 the qubits acts on Pauli strings, and an orbit is fixed by the triple
 (p, q, r) counting X, Y and Z tensor factors (the rest identity).  A
-``SymOrbitSum`` is a sparse vector over those triples; expanding one
+``SymOrbitSum`` is the shared sparse vector
+(:class:`~dla_lab.paulis.SparseVector`) over those triples; expanding one
 back to Pauli strings assigns unit weight to every placement.
 
 The two circuit generators act on type coordinates by the closed-form
@@ -27,9 +28,10 @@ from .closure import (
     LinearLedger,
     ad_cut_type,
     ad_field_type,
+    _ideal_ledger,
     generate_dla_orbit_compressed,
 )
-from .paulis import PauliString, PauliVector
+from .paulis import PauliString, PauliVector, SparseVector
 
 EXPANSION_VERTEX_CAP = 8
 
@@ -39,27 +41,20 @@ DECOMPOSITION_CONJECTURE = (
 )
 
 
-class SymOrbitSum:
+class SymOrbitSum(SparseVector):
     """Sparse sum of symmetric-group orbits, keyed by (p, q, r)."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: dict | None = None):
         if n < 2:
             raise ValueError("type coordinates need n >= 2")
-        self.n = n
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            p, q, r = key
-            if p < 0 or q < 0 or r < 0 or p + q + r > n:
-                raise ValueError(f"type {key} out of range for n={n}")
-            if c != 0:
-                clean[key] = c
-        self._coeffs = clean
+        super().__init__(n, coeffs)
 
-    @classmethod
-    def zero(cls, n: int) -> "SymOrbitSum":
-        return cls(n, {})
+    def _check_key(self, key: tuple[int, int, int]) -> None:
+        p, q, r = key
+        if p < 0 or q < 0 or r < 0 or p + q + r > self.n:
+            raise ValueError(f"type {key} out of range for n={self.n}")
 
     def terms(self) -> list:
         return sorted(self._coeffs.items())
@@ -69,52 +64,6 @@ class SymOrbitSum:
 
     def to_dict(self) -> dict:
         return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0)
-
-    def __add__(self, other: "SymOrbitSum") -> "SymOrbitSum":
-        if self.n != other.n:
-            raise ValueError("mismatched qubit counts")
-        acc = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            s = acc.get(key, 0) + c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-        return SymOrbitSum(self.n, acc)
-
-    def __neg__(self) -> "SymOrbitSum":
-        return SymOrbitSum(self.n, {k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other: "SymOrbitSum") -> "SymOrbitSum":
-        return self + (-other)
-
-    def scaled(self, factor) -> "SymOrbitSum":
-        if factor == 0:
-            return SymOrbitSum.zero(self.n)
-        return SymOrbitSum(
-            self.n, {k: factor * c for k, c in self._coeffs.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymOrbitSum)
-            and self.n == other.n
-            and self._coeffs == other._coeffs
-        )
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return f"SymOrbitSum(n={self.n}, 0)"
-        body = " + ".join(
-            f"{c!r}*{key}" for key, c in self.terms()
-        )
-        return f"SymOrbitSum(n={self.n}, {body})"
 
     def expand(self) -> PauliVector:
         """All placements of each triple, unit weight per string.
@@ -126,15 +75,11 @@ class SymOrbitSum:
             raise ValueError(
                 f"type expansion capped at n={EXPANSION_VERTEX_CAP}"
             )
-        acc: dict[PauliString, object] = {}
+        acc = PauliVector(n)
         for (p, q, r), c in self.terms():
-            for s in _type_strings(n, p, q, r):
-                tot = acc.get(s, 0) + c
-                if tot == 0:
-                    acc.pop(s, None)
-                else:
-                    acc[s] = tot
-        return PauliVector(n, acc)
+            strings = _type_strings(n, p, q, r)
+            acc.accumulate(PauliVector(n, dict.fromkeys(strings, c)))
+        return acc
 
 
 def _type_strings(n: int, p: int, q: int, r: int) -> list[PauliString]:
@@ -271,25 +216,21 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
     return out
 
 
-def _ideal_ledger(report: DlaReport) -> LinearLedger:
-    led = LinearLedger(maintain_rref=False)
-    for gd in report._gen_dicts:
-        for b in report._basis_dicts:
-            led.insert(report._bracket(gd, b))
-    return led
-
-
-def fact_suite(n: int, report: DlaReport | None = None) -> dict[str, bool]:
+def fact_suite(
+    n: int, report: DlaReport | None = None, ideal: LinearLedger | None = None
+) -> dict[str, bool]:
     """Re-derive the membership facts behind the explicit bases.
 
     Each entry tests a family of triples for membership in the computed
     closure span (or its commutator ideal) and reports whether every
-    member passed; the two negative controls must stay outside.
+    member passed; the two negative controls must stay outside.  ``ideal``
+    is the report's commutator-ideal ledger, built here when not given.
     """
     if report is None:
         report = generate_dla_orbit_compressed("complete", n)
-    span = report._ledger
-    ideal = _ideal_ledger(report)
+    span = report.ledger
+    if ideal is None:
+        ideal = _ideal_ledger(report)
     types = _types_in_range(n)
     results = {}
 

@@ -17,9 +17,11 @@ an offset past the far wall (t -> 2n - t - 2) swaps YXY with ZXZ and
 flips the sign of YXZ.  ``orbit_term`` applies these reductions, so
 stored sums only ever hold canonical offsets.
 
+A ``CycleOrbitSum`` is the package's shared sparse vector
+(:class:`~dla_lab.paulis.SparseVector`) keyed by canonical orbits.
 Coefficients are duck-typed: ints and Fractions for structural work,
-floats or complex for the trigonometric bases.  Only coefficients equal
-to zero are dropped.
+floats or complex for the trigonometric bases.  Builders grow their sums
+in place with ``accumulate``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .paulis import PauliString, PauliVector
+from .paulis import PauliString, PauliVector, SparseVector
 
 _KINDS = ("X", "XN1", "ZXZ", "YXY", "YXZ")
 _KIND_INDEX = {k: i for i, k in enumerate(_KINDS)}
@@ -83,26 +85,22 @@ def _fold(n: int, kind: str, offset: int):
     return (sign, CycleOrbit(kind, k))
 
 
-class CycleOrbitSum:
+class CycleOrbitSum(SparseVector):
     """Sparse sum of ring orbits with duck-typed coefficients."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: dict | None = None):
         if n < 3:
             raise ValueError("ring sums need n >= 3")
-        self.n = n
-        clean = {}
-        for orbit, c in (coeffs or {}).items():
-            if orbit.kind not in ("X", "XN1") and orbit.offset > n - 2:
-                raise ValueError(f"{orbit.label()} is not canonical for n={n}")
-            if c != 0:
-                clean[orbit] = c
-        self._coeffs = clean
+        super().__init__(n, coeffs)
 
-    @classmethod
-    def zero(cls, n: int) -> "CycleOrbitSum":
-        return cls(n, {})
+    def _check_key(self, orbit: CycleOrbit) -> None:
+        if orbit.kind not in ("X", "XN1") and orbit.offset > self.n - 2:
+            raise ValueError(f"{orbit.label()} is not canonical for n={self.n}")
+
+    def _label(self, orbit: CycleOrbit) -> str:
+        return orbit.label()
 
     def terms(self) -> list:
         return sorted(self._coeffs.items(), key=lambda kv: kv[0].key())
@@ -110,61 +108,13 @@ class CycleOrbitSum:
     def coeff(self, kind: str, offset: int = 0):
         return self._coeffs.get(CycleOrbit(kind, offset), 0)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self._coeffs.values()), default=0)
-
-    def __add__(self, other: "CycleOrbitSum") -> "CycleOrbitSum":
-        if self.n != other.n:
-            raise ValueError("mismatched ring sizes")
-        acc = dict(self._coeffs)
-        for orbit, c in other._coeffs.items():
-            s = acc.get(orbit, 0) + c
-            if s == 0:
-                acc.pop(orbit, None)
-            else:
-                acc[orbit] = s
-        return CycleOrbitSum(self.n, acc)
-
-    def __neg__(self) -> "CycleOrbitSum":
-        return CycleOrbitSum(self.n, {o: -c for o, c in self._coeffs.items()})
-
-    def __sub__(self, other: "CycleOrbitSum") -> "CycleOrbitSum":
-        return self + (-other)
-
-    def scaled(self, factor) -> "CycleOrbitSum":
-        if factor == 0:
-            return CycleOrbitSum.zero(self.n)
-        return CycleOrbitSum(
-            self.n, {o: factor * c for o, c in self._coeffs.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycleOrbitSum)
-            and self.n == other.n
-            and self._coeffs == other._coeffs
-        )
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return f"CycleOrbitSum(n={self.n}, 0)"
-        body = " + ".join(f"{c!r}*{o.label()}" for o, c in self.terms())
-        return f"CycleOrbitSum(n={self.n}, {body})"
-
     def expand(self) -> PauliVector:
         """Expansion into raw Pauli strings, one unit per orbit member."""
-        acc: dict[PauliString, object] = {}
+        acc = PauliVector(self.n)
         for orbit, c in self.terms():
-            for p in _orbit_strings(self.n, orbit):
-                s = acc.get(p, 0) + c
-                if s == 0:
-                    acc.pop(p, None)
-                else:
-                    acc[p] = s
-        return PauliVector(self.n, acc)
+            strings = _orbit_strings(self.n, orbit)
+            acc.accumulate(PauliVector(self.n, dict.fromkeys(strings, c)))
+        return acc
 
 
 def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
@@ -271,7 +221,7 @@ def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
     for kind1, s, c1 in _as_endpoint_terms(a):
         for kind2, t, c2 in _as_endpoint_terms(b):
             for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
-                acc = acc + orbit_term(n, kind, offset, coeff * c1 * c2)
+                acc.accumulate(orbit_term(n, kind, offset, coeff * c1 * c2))
     return acc
 
 
@@ -307,21 +257,21 @@ def cycle_center(n: int) -> tuple[CycleOrbitSum, CycleOrbitSum]:
     if n % 2 == 1:
         c1 = orbit_term(n, "X", coeff=-1)
         for t in range(1, (n - 1) // 2 + 1):
-            c1 = c1 + orbit_term(n, "ZXZ", 2 * t - 1)
-            c1 = c1 + orbit_term(n, "YXY", 2 * t - 1)
+            c1.accumulate(orbit_term(n, "ZXZ", 2 * t - 1))
+            c1.accumulate(orbit_term(n, "YXY", 2 * t - 1))
         c2 = orbit_term(n, "XN1")
         for t in range((n - 3) // 2 + 1):
-            c2 = c2 + orbit_term(n, "ZXZ", 2 * t)
-            c2 = c2 + orbit_term(n, "YXY", 2 * t)
+            c2.accumulate(orbit_term(n, "ZXZ", 2 * t))
+            c2.accumulate(orbit_term(n, "YXY", 2 * t))
     else:
         c1 = orbit_term(n, "XN1") - orbit_term(n, "X")
         for t in range(1, (n - 2) // 2 + 1):
-            c1 = c1 + orbit_term(n, "ZXZ", 2 * t - 1)
-            c1 = c1 + orbit_term(n, "YXY", 2 * t - 1)
+            c1.accumulate(orbit_term(n, "ZXZ", 2 * t - 1))
+            c1.accumulate(orbit_term(n, "YXY", 2 * t - 1))
         c2 = CycleOrbitSum.zero(n)
         for t in range((n - 2) // 2 + 1):
-            c2 = c2 + orbit_term(n, "ZXZ", 2 * t)
-            c2 = c2 + orbit_term(n, "YXY", 2 * t)
+            c2.accumulate(orbit_term(n, "ZXZ", 2 * t))
+            c2.accumulate(orbit_term(n, "YXY", 2 * t))
     return c1, c2
 
 
@@ -362,7 +312,7 @@ def ab_power(n: int, k: int) -> CycleOrbitSum:
     acc = CycleOrbitSum.zero(n)
     for j, c in enumerate(row):
         if c:
-            acc = acc + orbit_term(n, "YXZ", j, c)
+            acc.accumulate(orbit_term(n, "YXZ", j, c))
     return acc
 
 
@@ -404,7 +354,8 @@ def ab_power_expansion_coeffs(n: int) -> list[int]:
             nxt[i] -= 64 * c
         d_prev, d_cur = d_cur, nxt
     poly = d_cur
-    assert len(poly) == n and poly[-1] == 1
+    if len(poly) != n or poly[-1] != 1:
+        raise ArithmeticError("characteristic polynomial must be monic of degree n-1")
     return [-poly[k - 1] for k in range(1, n)]
 
 
@@ -466,18 +417,18 @@ def canonical_basis(n: int) -> list[CanonicalTriple]:
         h = CycleOrbitSum.zero(n)
         for j in range(1, n):
             c = -1j / (2 * n) * math.sin(k * j * math.pi / n)
-            h = h + orbit_term(n, "YXZ", j - 1, c)
+            h.accumulate(orbit_term(n, "YXZ", j - 1, c))
         u = CycleOrbitSum.zero(n)
         v = CycleOrbitSum.zero(n)
         for j in range(n):
             cu_y = -cmath.exp(-1j * k * (j + 1) * math.pi / n) / (4 * n)
             cu_z = -cmath.exp(1j * k * j * math.pi / n) / (4 * n)
-            u = u + orbit_term(n, "YXY", j - 1, cu_y)
-            u = u + orbit_term(n, "ZXZ", j, cu_z)
+            u.accumulate(orbit_term(n, "YXY", j - 1, cu_y))
+            u.accumulate(orbit_term(n, "ZXZ", j, cu_z))
             cv_y = cmath.exp(1j * k * (j + 1) * math.pi / n) / (4 * n)
             cv_z = cmath.exp(-1j * k * j * math.pi / n) / (4 * n)
-            v = v + orbit_term(n, "YXY", j - 1, cv_y)
-            v = v + orbit_term(n, "ZXZ", j, cv_z)
+            v.accumulate(orbit_term(n, "YXY", j - 1, cv_y))
+            v.accumulate(orbit_term(n, "ZXZ", j, cv_z))
         out.append(CanonicalTriple(k, h, u, v))
     return out
 
@@ -489,18 +440,18 @@ def su2_basis(n: int) -> list[Su2Triple]:
         z = CycleOrbitSum.zero(n)
         for j in range(1, n):
             c = math.sin(k * j * math.pi / n) / (2 * n)
-            z = z + orbit_term(n, "YXZ", j - 1, c)
+            z.accumulate(orbit_term(n, "YXZ", j - 1, c))
         x = CycleOrbitSum.zero(n)
         y = CycleOrbitSum.zero(n)
         for j in range(n):
             cx_y = -math.sin(k * (j + 1) * math.pi / n) / (2 * n)
             cx_z = math.sin(k * j * math.pi / n) / (2 * n)
-            x = x + orbit_term(n, "YXY", j - 1, cx_y)
-            x = x + orbit_term(n, "ZXZ", j, cx_z)
+            x.accumulate(orbit_term(n, "YXY", j - 1, cx_y))
+            x.accumulate(orbit_term(n, "ZXZ", j, cx_z))
             cy_y = math.cos(k * (j + 1) * math.pi / n) / (2 * n)
             cy_z = math.cos(k * j * math.pi / n) / (2 * n)
-            y = y + orbit_term(n, "YXY", j - 1, cy_y)
-            y = y + orbit_term(n, "ZXZ", j, cy_z)
+            y.accumulate(orbit_term(n, "YXY", j - 1, cy_y))
+            y.accumulate(orbit_term(n, "ZXZ", j, cy_z))
         out.append(Su2Triple(k, x, y, z))
     return out
 

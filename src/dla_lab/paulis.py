@@ -21,6 +21,14 @@ so Lie-algebra computations stay in exact integer/rational arithmetic;
 the structure constants arising here are always even integers.
 
 Display convention: qubit 0 is the leftmost character of a label.
+
+Shared pieces
+-------------
+:class:`SparseVector` is the one sparse-vector core: every vector type in
+the package (Pauli, Hermitian, ring-orbit and type coordinates) is a
+subclass that only fixes its keys.  :func:`pauli_bracket` is the one Pauli
+bracket kernel, on dicts keyed by packed ``(x_mask << n) | z_mask`` ints;
+:func:`commutator` and both closure engines call it.
 """
 
 from __future__ import annotations
@@ -147,34 +155,127 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return not anticommute(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
 
 
-class PauliVector:
+class SparseVector:
+    """Sparse vector: a size ``n`` and a zero-dropping ``{key: coeff}`` dict.
+
+    The shared core of every coordinate system in the package.  Subclasses
+    fix what differs: key validation (``_check_key``), the order of
+    ``terms()``, key labels in reprs, and their own conversions.
+    Coefficients are duck-typed (int, Fraction, float, complex); only
+    coefficients equal to zero are dropped.  Instances are immutable by
+    convention: operators return new vectors, and ``accumulate`` is the one
+    in-place update, for builders that own the vector they grow.  Vectors
+    of different concrete types never compare equal.
+    """
+
+    __slots__ = ("n", "_coeffs")
+
+    def __init__(self, n: int, coeffs: dict | None = None):
+        self.n = n
+        clean = {}
+        for key, c in (coeffs or {}).items():
+            self._check_key(key)
+            if c != 0:
+                clean[key] = c
+        self._coeffs = clean
+
+    def _check_key(self, key) -> None:
+        """Raise ValueError for a key outside this coordinate system."""
+
+    def _label(self, key) -> str:
+        return str(key)
+
+    def _new(self, coeffs: dict):
+        """Same type and size around a dict of valid keys and nonzero coeffs."""
+        v = object.__new__(type(self))
+        v.n = self.n
+        v._coeffs = coeffs
+        return v
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    def terms(self):
+        return self._coeffs.items()
+
+    def support(self):
+        return self._coeffs.keys()
+
+    def coeff(self, key):
+        return self._coeffs.get(key, 0)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def max_abs(self):
+        return max((abs(c) for c in self._coeffs.values()), default=0)
+
+    def __len__(self):
+        return len(self._coeffs)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and self._coeffs == other._coeffs
+        )
+
+    def accumulate(self, other: "SparseVector") -> None:
+        """In-place ``self += other``, adding other's terms in its order."""
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot add {type(other).__name__} to {type(self).__name__}"
+            )
+        if self.n != other.n:
+            raise ValueError(f"sizes differ: {self.n} != {other.n}")
+        acc = self._coeffs
+        for key, c in other._coeffs.items():
+            s = acc.get(key, 0) + c
+            if s == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = s
+
+    def __add__(self, other):
+        out = self._new(dict(self._coeffs))
+        out.accumulate(other)
+        return out
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, factor):
+        return self._new(
+            {k: p for k, c in self._coeffs.items() if (p := c * factor) != 0}
+        )
+
+    def __repr__(self):
+        body = " + ".join(f"{c!r}*{self._label(k)}" for k, c in self.terms())
+        return f"{type(self).__name__}(n={self.n}, {body or 0})"
+
+
+class PauliVector(SparseVector):
     """Sparse real-coefficient vector over {i*P : P Pauli string}.
 
     The stored mapping is ``P -> c_P`` for the operator ``sum_P c_P (i P)``;
     coefficients are exact (int / Fraction) in all structural computations.
     Float coefficients are tolerated for the spectral routines that expand
     trigonometric basis elements, but nothing here ever mixes the two in
-    one vector.  Instances are immutable by convention: all operations
-    return new vectors.
+    one vector.  ``terms()`` keeps insertion order.
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries: dict[PauliString, object] | None = None):
-        self.n = n
-        cleaned = {}
-        if entries:
-            for p, c in entries.items():
-                if p.n != n:
-                    raise ValueError("entry qubit count mismatch")
-                if c == 0:
-                    continue
-                cleaned[p] = c
-        self._entries = cleaned
+    def _check_key(self, p: PauliString) -> None:
+        if p.n != self.n:
+            raise ValueError("entry qubit count mismatch")
 
-    @classmethod
-    def zero(cls, n: int) -> "PauliVector":
-        return cls(n, {})
+    def _label(self, p: PauliString) -> str:
+        return "i" + p.label()
 
     @classmethod
     def single_term(cls, p: PauliString, coeff=1) -> "PauliVector":
@@ -182,99 +283,61 @@ class PauliVector:
 
     @property
     def entries(self) -> dict[PauliString, object]:
-        return dict(self._entries)
-
-    def terms(self):
-        return self._entries.items()
-
-    def support(self):
-        return self._entries.keys()
-
-    def coeff(self, p: PauliString):
-        return self._entries.get(p, 0)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PauliVector)
-            and self.n == other.n
-            and self._entries == other._entries
-        )
-
-    def __add__(self, other: "PauliVector") -> "PauliVector":
-        if self.n != other.n:
-            raise ValueError("qubit counts differ")
-        out = dict(self._entries)
-        for p, c in other._entries.items():
-            s = out.get(p, 0) + c
-            if s == 0:
-                out.pop(p, None)
-            else:
-                out[p] = s
-        v = PauliVector.__new__(PauliVector)
-        v.n = self.n
-        v._entries = out
-        return v
-
-    def __neg__(self) -> "PauliVector":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "PauliVector") -> "PauliVector":
-        return self + (-other)
-
-    def scaled(self, factor) -> "PauliVector":
-        v = PauliVector.__new__(PauliVector)
-        v.n = self.n
-        if factor == 0:
-            v._entries = {}
-        else:
-            v._entries = {p: c * factor for p, c in self._entries.items()}
-        return v
-
-    def __repr__(self):
-        if not self._entries:
-            return f"PauliVector(n={self.n}, 0)"
-        parts = [
-            f"{c}*i{p.label()}"
-            for p, c in sorted(self._entries.items(), key=lambda t: t[0].key())
-        ]
-        return "PauliVector(" + " + ".join(parts) + ")"
+        return dict(self._coeffs)
 
 
-def commutator(a: PauliVector, b: PauliVector) -> PauliVector:
-    """[a, b] for skew-Hermitian vectors; exact, closes within the type.
+def pack_pauli(p: PauliString) -> int:
+    """The string as one int, ``(x_mask << n) | z_mask``."""
+    return (p.x_mask << p.n) | p.z_mask
 
-    For anticommuting strings P, Q with P·Q = i^e R the bracket of the
-    terms is [iP, iQ] = -2 i^e R = (+2 if e == 3 else -2) * (i R).
-    Commuting pairs contribute nothing.
+
+def unpack_pauli(n: int, key: int) -> PauliString:
+    return PauliString(n, key >> n, key & ((1 << n) - 1))
+
+
+def pauli_vector_to_dict(v: PauliVector) -> dict:
+    return {pack_pauli(p): c for p, c in v.terms()}
+
+
+def dict_to_pauli_vector(n: int, d: dict) -> PauliVector:
+    return PauliVector(n, {unpack_pauli(n, k): c for k, c in d.items()})
+
+
+def pauli_bracket(n: int, u: dict, v: dict) -> dict:
+    """[u, v] of skew-Hermitian vectors given as packed-key dicts; exact.
+
+    The one Pauli bracket kernel.  For anticommuting strings P, Q with
+    P·Q = i^e R the bracket of the terms is [iP, iQ] = -2 i^e R =
+    (+2 if e == 3 else -2) * (i R); commuting pairs contribute nothing.
+    Zero sums are dropped as they occur.
     """
-    if a.n != b.n:
-        raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
-    acc: dict[tuple[int, int], object] = {}
-    for p, cp in a._entries.items():
-        x1, z1 = p.x_mask, p.z_mask
-        for q, cq in b._entries.items():
-            x2, z2 = q.x_mask, q.z_mask
-            if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0:
+    mask = (1 << n) - 1
+    acc: dict[int, object] = {}
+    for ku, cu in u.items():
+        x1 = ku >> n
+        z1 = ku & mask
+        for kv, cv in v.items():
+            x2 = kv >> n
+            z2 = kv & mask
+            if ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1 == 0:
                 continue
             e = phase_exponent(x1, z1, x2, z2)
-            key = (x1 ^ x2, z1 ^ z2)
-            contrib = (2 if e == 3 else -2) * cp * cq
-            s = acc.get(key, 0) + contrib
+            key = ((x1 ^ x2) << n) | (z1 ^ z2)
+            s = acc.get(key, 0) + (2 if e == 3 else -2) * cu * cv
             if s == 0:
                 acc.pop(key, None)
             else:
                 acc[key] = s
+    return acc
+
+
+def commutator(a: PauliVector, b: PauliVector) -> PauliVector:
+    """[a, b] for skew-Hermitian vectors; exact, closes within the type."""
+    if a.n != b.n:
+        raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
     n = a.n
-    v = PauliVector.__new__(PauliVector)
-    v.n = n
-    v._entries = {PauliString(n, x, z): c for (x, z), c in acc.items()}
-    return v
+    packed = pauli_bracket(n, pauli_vector_to_dict(a), pauli_vector_to_dict(b))
+    return a._new({unpack_pauli(n, k): c for k, c in packed.items()})
 
 
 def hs_inner(a: PauliVector, b: PauliVector):
@@ -288,8 +351,8 @@ def hs_inner(a: PauliVector, b: PauliVector):
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     total = 0
-    for p, c in small._entries.items():
-        d = big._entries.get(p)
+    for p, c in small._coeffs.items():
+        d = big._coeffs.get(p)
         if d is not None:
             total += c * d
     return (1 << a.n) * total

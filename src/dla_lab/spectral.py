@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .cycle_forms import cycle_basis, cycle_center, su2_basis
 from .graphs import Graph
-from .paulis import PauliString, PauliVector, hs_inner, rationalize
+from .paulis import PauliString, PauliVector, SparseVector, hs_inner, rationalize
 
 #: largest n for which ``plus_state`` will build its 2^n-term support
 PLUS_STATE_VERTEX_CAP = 20
@@ -48,72 +48,28 @@ PLUS_STATE_VERTEX_CAP = 20
 RECOMPUTE_VERTEX_CAP = 12
 
 
-class HermitianVector:
+class HermitianVector(SparseVector):
     """Sparse Hermitian operator ``sum_P c_P P`` with real coefficients.
 
-    Same sparse-map shape as :class:`~dla_lab.paulis.PauliVector` but with
-    the Hermitian sign convention (coefficient of ``P``, not of ``i*P``).
-    Zero coefficients are dropped at construction.
+    Same keys as :class:`~dla_lab.paulis.PauliVector` but with the
+    Hermitian sign convention (coefficient of ``P``, not of ``i*P``).
     """
 
-    __slots__ = ("n", "_entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries: dict[PauliString, object] | None = None):
-        self.n = n
-        cleaned = {}
-        if entries:
-            for p, c in entries.items():
-                if p.n != n:
-                    raise ValueError("entry qubit count mismatch")
-                if c == 0:
-                    continue
-                cleaned[p] = c
-        self._entries = cleaned
+    _check_key = PauliVector._check_key
 
-    def terms(self):
-        return self._entries.items()
-
-    def support(self):
-        return self._entries.keys()
-
-    def coeff(self, p: PauliString):
-        return self._entries.get(p, 0)
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HermitianVector)
-            and self.n == other.n
-            and self._entries == other._entries
-        )
-
-    def scaled(self, factor) -> "HermitianVector":
-        return HermitianVector(
-            self.n, {p: c * factor for p, c in self._entries.items()}
-        )
+    def _label(self, p: PauliString) -> str:
+        return p.label()
 
     def as_coefficients(self) -> PauliVector:
         """The coefficient-space twin, for inner products via hs_inner."""
-        return PauliVector(self.n, dict(self._entries))
+        return PauliVector(self.n, dict(self._coeffs))
 
     def norm_squared(self):
         """Squared Frobenius norm tr(H^2) = 2^n * sum_P c_P^2."""
         v = self.as_coefficients()
         return hs_inner(v, v)
-
-    def __repr__(self):
-        if not self._entries:
-            return f"HermitianVector(n={self.n}, 0)"
-        parts = [
-            f"{c}*{p.label()}"
-            for p, c in sorted(self._entries.items(), key=lambda t: t[0].key())
-        ]
-        return "HermitianVector(" + " + ".join(parts) + ")"
 
 
 def plus_state(n: int) -> HermitianVector:

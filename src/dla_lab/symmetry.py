@@ -203,7 +203,8 @@ def orbit_count(n: int, group: PermGroup) -> int:
     elements = group.elements()
     total = sum(4 ** g.cycle_count() for g in elements)
     count, rem = divmod(total, len(elements))
-    assert rem == 0, "Burnside average must be an integer"
+    if rem:
+        raise ArithmeticError("Burnside average must be an integer")
     return count
 
 

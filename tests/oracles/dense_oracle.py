@@ -1,9 +1,11 @@
 """Independent dense-matrix oracle used to freeze expected values in the tests.
 
 Everything here is computed from scratch with numpy (dense 2^n x 2^n
-matrices, float rank decisions) and deliberately shares no code with the
-package under test.  Run it directly to print the values that the test
-suite pins as literals:
+matrices) and deliberately shares no code with the package under test.
+Closure dimensions are ranked over the integers mod two primes, never by a
+float tolerance; a rank mod p can only undercount the rational rank, so the
+two must agree or the oracle raises.  Run it directly to print the values that the
+test suite pins as literals:
 
     python tests/oracles/dense_oracle.py
 """
@@ -39,40 +41,104 @@ def generators(n, edges):
     return 1j * a, 1j * b
 
 
-def vectorize(mats):
-    rows = []
-    for m in mats:
-        v = m.reshape(-1)
-        rows.append(np.concatenate([v.real, v.imag]))
-    return np.array(rows)
+#: the two largest primes below 2^25: residues below them multiply to under
+#: 2^50, so int64 sums of up to 2^13 such products cannot overflow
+PRIMES = (33_554_393, 33_554_383)
+
+INT_X = np.array([[0, 1], [1, 0]], dtype=np.int64)
+INT_Z = np.array([[1, 0], [0, -1]], dtype=np.int64)
 
 
-def lie_closure_dim(n, edges, max_rounds=60):
-    """Dimension of the real Lie algebra generated by the two MaxCut maps."""
-    gens = list(generators(n, edges))
-    basis = []
-    for g in gens:
-        cand = basis + [g]
-        if np.linalg.matrix_rank(vectorize(cand), tol=1e-8) > len(basis):
-            basis.append(g)
-    frontier = list(basis)
-    for _ in range(max_rounds):
+def int_generators(n, edges):
+    """sum_j X_j and sum_edges Z_j Z_k as integer matrices (qubit 0 leftmost)."""
+
+    def kron_all(factors):
+        out = np.ones((1, 1), dtype=np.int64)
+        for f in factors:
+            out = np.kron(out, f)
+        return out
+
+    eye = np.eye(2, dtype=np.int64)
+    a = sum(kron_all(INT_X if i == j else eye for i in range(n)) for j in range(n))
+    b = sum(
+        kron_all(INT_Z if i in (j, k) else eye for i in range(n)) for j, k in edges
+    )
+    return a, b
+
+
+class _ModPSpan:
+    """Fully reduced echelon rows mod a prime; exact membership and rank."""
+
+    def __init__(self, width, prime):
+        self._store = np.zeros((16, width), dtype=np.int64)
+        self.pivots = []
+        self.prime = prime
+
+    def insert(self, v):
+        """Add v (int64 residues) to the span; True iff it was independent."""
+        prime = self.prime
+        rank = len(self.pivots)
+        rows = self._store[:rank]
+        if rank:
+            # einsum sums row by row, far faster than int64 matmul here
+            v = (v - np.einsum("i,ij->j", v[self.pivots], rows)) % prime
+        nonzero = np.flatnonzero(v)
+        if nonzero.size == 0:
+            return False
+        piv = int(nonzero[0])
+        v = v * pow(int(v[piv]), prime - 2, prime) % prime
+        hit = np.flatnonzero(rows[:, piv])
+        if hit.size:
+            rows[hit] = (rows[hit] - np.outer(rows[hit, piv], v)) % prime
+        if rank == len(self._store):
+            self._store = np.vstack([self._store, np.zeros_like(self._store)])
+        self._store[rank] = v
+        self.pivots.append(piv)
+        return True
+
+
+def lie_closure_dim(n, edges):
+    """Dimension of the real Lie algebra generated by i*sum X and i*sum ZZ.
+
+    The closure is ranked mod each of PRIMES.  A rank mod p never exceeds
+    the rational rank r, and falls below it only when p divides every
+    r x r minor, so the two ranks must agree; ValueError if they do not.
+    """
+    dims = {_closure_dim_mod(n, edges, prime) for prime in PRIMES}
+    if len(dims) != 1:
+        raise ValueError(f"closure ranks differ across primes: {sorted(dims)}")
+    return dims.pop()
+
+
+def _closure_dim_mod(n, edges, prime):
+    """Closure dimension mod one prime: a lower bound on the true one.
+
+    Every nested commutator of the generators is i^k M with M a real
+    integer matrix, so it is tracked as (k mod 2, M mod prime), the sign
+    of i^2 folded into M.  The real span splits into the k-even (real) and
+    k-odd (imaginary) parts, each ranked mod the prime.
+    """
+    gens = [(1, m % prime) for m in int_generators(n, edges)]
+    spans = [_ModPSpan(4**n, prime), _ModPSpan(4**n, prime)]
+
+    def insert(elem):
+        k, m = elem
+        return spans[k].insert(m.reshape(-1))
+
+    frontier = [g for g in gens if insert(g)]
+    while frontier:
         new = []
-        for g in gens:
-            for h in frontier:
-                c = g @ h - h @ g
-                if np.linalg.norm(c) < 1e-10:
-                    continue
-                cand = basis + new + [c]
-                if np.linalg.matrix_rank(vectorize(cand), tol=1e-8) > len(
-                    basis
-                ) + len(new):
-                    new.append(c)
-        if not new:
-            break
-        basis.extend(new)
+        for kg, g in gens:
+            for kh, h in frontier:
+                c = (g @ h - h @ g) % prime
+                k = kg + kh
+                if k >= 2:
+                    k -= 2
+                    c = (-c) % prime
+                if insert((k, c)):
+                    new.append((k, c))
         frontier = new
-    return len(basis)
+    return len(spans[0].pivots) + len(spans[1].pivots)
 
 
 def centralizer_labels(n, edges):

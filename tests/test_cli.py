@@ -170,6 +170,17 @@ def test_memory_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_memory_budget_bounds_the_center_stage(capsys):
+    # the closure ledger stays under 5000 entries; the center ledger does not
+    code, out, err = run(
+        capsys, "compute", "--graph", "complete:24", "--orbit-compress",
+        "--memory-budget", "5000",
+    )
+    assert code == 3
+    assert out == ""
+    assert "center stage" in err
+
+
 def test_bad_graph_spec(capsys):
     code, _, err = run(capsys, "compute", "--graph", "blob:9")
     assert code == 2

@@ -15,18 +15,22 @@ from dla_lab.closure import (
     center,
     center_dimension,
     commutator_ideal,
-    dict_to_pauli_vector,
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
     nullspace_combos,
-    pack_pauli,
-    pauli_vector_to_dict,
     span_ledger,
-    unpack_pauli,
 )
 from dla_lab.graphs import Graph, maxcut_generators
-from dla_lab.paulis import PauliString, PauliVector, commutator
+from dla_lab.paulis import (
+    PauliString,
+    PauliVector,
+    commutator,
+    dict_to_pauli_vector,
+    pack_pauli,
+    pauli_vector_to_dict,
+    unpack_pauli,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_explicit_basis_spans_the_closure(n):
     report = generate_dla_orbit_compressed("complete", n)
     ours = span_ledger(v.to_dict() for v in kn_basis(n))
     assert ours.rank == report.dimension
-    assert ours.canonical_rows() == report._ledger.canonical_rows()
+    assert ours.canonical_rows() == report.ledger.canonical_rows()
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -21,6 +21,7 @@ from dla_lab.paulis import (
     phase_exponent,
     rationalize,
 )
+from dla_lab.spectral import HermitianVector
 
 
 def test_label_round_trip():
@@ -144,6 +145,21 @@ def test_vector_arithmetic():
     assert v.scaled(0).is_zero()
     assert (-v).coeff(p) == -3
     assert len(v) == 2 and v.coeff(PauliString.from_label("II")) == 0
+
+
+def test_vector_accumulate_in_place_and_types_stay_apart():
+    p = PauliString.from_label("XZ")
+    q = PauliString.from_label("YI")
+    v = PauliVector(2, {p: 3, q: -2})
+    alias = v
+    v.accumulate(PauliVector(2, {p: -3}))
+    assert alias.entries == {q: -2}
+    h = HermitianVector(2, {q: -2})
+    assert h != v and v != h
+    with pytest.raises(TypeError):
+        v + h
+    with pytest.raises(ValueError):
+        v.accumulate(PauliVector(3, {PauliString.from_label("XXX"): 1}))
 
 
 def test_vector_rejects_mixed_qubit_counts():
