@@ -12,7 +12,8 @@ The layers, bottom up:
     Bit-packed Pauli strings, the shared sparse-vector core, the Pauli
     bracket kernel, inner products.
 ``symmetry``
-    Qubit-permutation groups, orbits, Burnside counts, orbit compression.
+    Qubit-permutation groups, the one packed-key orbit map built from any
+    group, Burnside counts, orbit compression.
 ``closure``
     The closure engine over an exact sparse integer ledger, in raw Pauli
     or symmetry-orbit coordinates; center and commutator-ideal ranks.
@@ -38,6 +39,7 @@ from .closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
+    ideal_ledger,
     nullspace_combos,
     span_ledger,
 )
@@ -139,6 +141,7 @@ __all__ = [
     "graph_automorphisms",
     "hs_inner",
     "ideal_dimension",
+    "ideal_ledger",
     "kn_basis",
     "kn_formulas",
     "kn_ideal_basis",

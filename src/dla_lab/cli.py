@@ -43,11 +43,11 @@ from .closure import (
     DEFAULT_MEMORY_BUDGET,
     DlaReport,
     ResourceBudgetError,
-    _ideal_ledger,
     center_dimension,
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
+    ideal_ledger,
     span_ledger,
 )
 from .complete_forms import (
@@ -387,7 +387,7 @@ def cmd_verify_complete(config: RunConfig) -> int:
         cdim == forms["center_dim"],
         float(abs(cdim - forms["center_dim"])),
     )
-    ideal = _ideal_ledger(report)
+    ideal = ideal_ledger(report)
     idim = ideal.rank
     checks.add(
         "ideal-dimension-formula",

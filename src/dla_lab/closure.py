@@ -23,14 +23,15 @@ The same engine runs in three coordinate systems:
 
 * raw Pauli coordinates (keys are packed ``(x_mask << n) | z_mask`` ints),
   bracketed by the package's one Pauli kernel, ``paulis.pauli_bracket``;
-* ring-orbit coordinates for cycle graphs (keys are the packed canonical
-  representatives of dihedral orbits), bracketed by the same kernel on a
+* group-orbit coordinates for cycle graphs (keys are the packed canonical
+  representatives of orbits under ``PermGroup.dihedral(n)``, from the one
+  orbit map ``symmetry.PackedOrbits``), bracketed by the same kernel on a
   representative against a whole orbit, then folded back to orbits;
 * type coordinates ``(p, q, r)`` for complete graphs, where only the two
   generators ever act, via their closed-form adjoint maps.
 
-The center and the commutator ideal are ranked by rank-only ledgers under
-the closure's memory budget.
+The center and the commutator ideal are ranked, and the center's basis
+solved for, by ledgers under the closure's memory budget.
 """
 
 from __future__ import annotations
@@ -48,12 +49,22 @@ from .paulis import (
     pauli_vector_to_dict,
     unpack_pauli,
 )
+from .symmetry import PackedOrbits, PermGroup
 
 DEFAULT_MEMORY_BUDGET = 10**8
 
 
 class ResourceBudgetError(RuntimeError):
     """Raised when a computation would exceed the configured entry budget."""
+
+
+def _add_term(acc: dict, key, c) -> None:
+    """acc[key] += c, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
 
 
 def _to_int_row(vec) -> dict:
@@ -173,10 +184,6 @@ class LinearLedger:
                     w[kk] = cur
         return w
 
-    def reduce(self, vec) -> dict:
-        """A positive multiple of vec's residual against the rows (no insertion)."""
-        return self._forward_reduce(vec)
-
     def contains(self, vec) -> bool:
         """Exact membership of vec in the current row space."""
         return not self._forward_reduce(vec)
@@ -254,6 +261,23 @@ def span_ledger(vectors, memory_budget: int | None = None) -> LinearLedger:
     return led
 
 
+def _lifted(vectors):
+    """Each vector with a marker key (1, i) sorting after its (0, k) keys."""
+    for i, v in enumerate(vectors):
+        lifted = {(0, k): c for k, c in v.items()}
+        lifted[(1, i)] = 1
+        yield lifted
+
+
+def _marker_combos(led: LinearLedger) -> list[dict]:
+    """The rows of a ledger of lifted vectors that pivot in marker space."""
+    return [
+        {k[1]: c for k, c in led.rows[rid].items()}
+        for rid, piv in enumerate(led.pivots)
+        if piv[0] == 1
+    ]
+
+
 def nullspace_combos(vectors: list[dict]) -> list[dict]:
     """Combinations c with sum_i c[i]*vectors[i] == 0, as {index: coeff}.
 
@@ -263,61 +287,17 @@ def nullspace_combos(vectors: list[dict]) -> list[dict]:
     left null space.  Exact integers.
     """
     led = LinearLedger(maintain_rref=False)
-    for i, v in enumerate(vectors):
-        lifted = {(0, k): c for k, c in v.items()}
-        lifted[(1, i)] = 1
+    for lifted in _lifted(vectors):
         led.insert(lifted)
-    combos = []
-    for rid, piv in enumerate(led.pivots):
-        if piv[0] == 1:
-            combos.append({k[1]: c for k, c in led.rows[rid].items()})
-    return combos
+    return _marker_combos(led)
 
 
 # ---------------------------------------------------------------------------
 # coordinate systems
 
 
-class _RingOrbitTools:
-    """Dihedral orbits of packed Pauli keys for a ring of n qubits."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.mask = (1 << n) - 1
-        perms = []
-        for s in range(n):
-            perms.append(tuple((j + s) % n for j in range(n)))
-            perms.append(tuple((s - j) % n for j in range(n)))
-        self._perms = perms
-        self._cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-
-    def _apply(self, perm, m: int) -> int:
-        out = 0
-        j = 0
-        while m >> j:
-            if (m >> j) & 1:
-                out |= 1 << perm[j]
-            j += 1
-        return out
-
-    def orbit(self, key: int):
-        """(representative, size, members) of the orbit through key."""
-        got = self._cache.get(key)
-        if got is None:
-            n = self.n
-            x = key >> n
-            z = key & self.mask
-            members = set()
-            for perm in self._perms:
-                members.add((self._apply(perm, x) << n) | self._apply(perm, z))
-            got = (min(members), len(members), tuple(sorted(members)))
-            for m in members:
-                self._cache[m] = got
-        return got
-
-
-def _ring_orbit_bracket(n: int, tools: _RingOrbitTools):
-    """Bracket of two dihedral-invariant vectors in orbit coordinates.
+def _group_orbit_bracket(n: int, orbits: PackedOrbits):
+    """Bracket of two group-invariant vectors in orbit coordinates.
 
     [S(O_a), S(O_b)] is invariant, so it is determined by bracketing one
     representative of O_a against the full expansion of O_b and averaging
@@ -330,18 +310,18 @@ def _ring_orbit_bracket(n: int, tools: _RingOrbitTools):
     def bracket(u: dict, v: dict) -> dict:
         expanded: dict[int, int] = {}
         for kb, cb in v.items():
-            expanded.update(dict.fromkeys(tools.orbit(kb)[2], cb))
+            expanded.update(dict.fromkeys(orbits.orbit(kb)[2], cb))
         acc: dict[int, int] = {}
         for ka, ca in u.items():
-            raw = pauli_bracket(n, {ka: ca * tools.orbit(ka)[1]}, expanded)
+            raw = pauli_bracket(n, {ka: ca * orbits.orbit(ka)[1]}, expanded)
             for key, c in raw.items():
-                rep = tools.orbit(key)[0]
+                rep = orbits.orbit(key)[0]
                 acc[rep] = acc.get(rep, 0) + c
         out = {}
         for rep, total in acc.items():
             if total == 0:
                 continue
-            q, r = divmod(total, tools.orbit(rep)[1])
+            q, r = divmod(total, orbits.orbit(rep)[1])
             if r:
                 raise ArithmeticError("orbit bracket must stay integral")
             out[rep] = q
@@ -353,43 +333,27 @@ def _ring_orbit_bracket(n: int, tools: _RingOrbitTools):
 def ad_field_type(n: int, v: dict) -> dict:
     """Adjoint action of the transverse-field orbit on type coordinates."""
     out: dict[tuple[int, int, int], object] = {}
-
-    def add(key, c):
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (p, q, r), c in v.items():
         if r >= 1:
-            add((p, q + 1, r - 1), 2 * (q + 1) * c)
+            _add_term(out, (p, q + 1, r - 1), 2 * (q + 1) * c)
         if q >= 1:
-            add((p, q - 1, r + 1), -2 * (r + 1) * c)
+            _add_term(out, (p, q - 1, r + 1), -2 * (r + 1) * c)
     return out
 
 
 def ad_cut_type(n: int, v: dict) -> dict:
     """Adjoint action of the all-pairs ZZ orbit on type coordinates."""
     out: dict[tuple[int, int, int], object] = {}
-
-    def add(key, c):
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (p, q, r), c in v.items():
         m = n - p - q - r
         if q >= 1 and r >= 1:
-            add((p + 1, q - 1, r - 1), 2 * (m + 1) * (p + 1) * c)
+            _add_term(out, (p + 1, q - 1, r - 1), 2 * (m + 1) * (p + 1) * c)
         if q >= 1 and m >= 1:
-            add((p + 1, q - 1, r + 1), 2 * (p + 1) * (r + 1) * c)
+            _add_term(out, (p + 1, q - 1, r + 1), 2 * (p + 1) * (r + 1) * c)
         if p >= 1 and r >= 1:
-            add((p - 1, q + 1, r - 1), -2 * (m + 1) * (q + 1) * c)
+            _add_term(out, (p - 1, q + 1, r - 1), -2 * (m + 1) * (q + 1) * c)
         if p >= 1 and m >= 1:
-            add((p - 1, q + 1, r + 1), -2 * (q + 1) * (r + 1) * c)
+            _add_term(out, (p - 1, q + 1, r + 1), -2 * (q + 1) * (r + 1) * c)
     return out
 
 
@@ -429,7 +393,7 @@ class DlaReport:
     """Closure output: basis, dimension, degree, and bookkeeping.
 
     ``basis`` entries are PauliVectors for raw runs, ``{PauliString: int}``
-    orbit-representative dicts for ring-orbit runs, and
+    orbit-representative dicts for cycle-orbit runs, and
     ``{(p, q, r): int}`` dicts for complete-graph type coordinates.
     ``generator_count`` is the number of independent generators actually
     used (the size of B0).  ``ledger`` is the closure's span, in the
@@ -449,7 +413,9 @@ class DlaReport:
     _bracket: object = field(repr=False, compare=False, default=None)
 
 
-def _closure_engine(gen_dicts, bracket, memory_budget):
+def _closure_engine(
+    n: int, coords: str, gen_dicts, bracket, memory_budget
+) -> DlaReport:
     ledger = LinearLedger(memory_budget)
     b0 = []
     snaps = []
@@ -479,7 +445,20 @@ def _closure_engine(gen_dicts, bracket, memory_budget):
             degree = round_no
             snaps.extend(new)
         frontier = new
-    return ledger, snaps, degree, len(b0)
+    report = DlaReport(
+        basis=[],
+        dimension=ledger.rank,
+        degree=degree,
+        generator_count=len(b0),
+        n=n,
+        coords=coords,
+        ledger=ledger,
+        _gen_dicts=gen_dicts,
+        _basis_dicts=snaps,
+        _bracket=bracket,
+    )
+    report.basis = [_publish(report, s) for s in snaps]
+    return report
 
 
 def generate_dla(
@@ -495,20 +474,7 @@ def generate_dla(
             raise ValueError("generators must share a qubit count")
     gen_dicts = [pauli_vector_to_dict(g) for g in generators]
     bracket = partial(pauli_bracket, n)
-    ledger, snaps, degree, used = _closure_engine(gen_dicts, bracket, memory_budget)
-    basis = [dict_to_pauli_vector(n, s) for s in snaps]
-    return DlaReport(
-        basis=basis,
-        dimension=ledger.rank,
-        degree=degree,
-        generator_count=used,
-        n=n,
-        coords="pauli",
-        ledger=ledger,
-        _gen_dicts=gen_dicts,
-        _basis_dicts=snaps,
-        _bracket=bracket,
-    )
+    return _closure_engine(n, "pauli", gen_dicts, bracket, memory_budget)
 
 
 def generate_dla_orbit_compressed(
@@ -520,14 +486,14 @@ def generate_dla_orbit_compressed(
     if family == "cycle":
         if n < 3:
             raise ValueError("ring family needs n >= 3")
-        tools = _RingOrbitTools(n)
+        orbits = PackedOrbits(PermGroup.dihedral(n))
         x0 = 1 << n  # X on qubit 0
         zz = 0b11  # Z on qubits 0, 1
         gen_dicts = [
-            {tools.orbit(x0)[0]: 1},
-            {tools.orbit(zz)[0]: 1},
+            {orbits.orbit(x0)[0]: 1},
+            {orbits.orbit(zz)[0]: 1},
         ]
-        bracket = _ring_orbit_bracket(n, tools)
+        bracket = _group_orbit_bracket(n, orbits)
         coords = "cycle-orbit"
     elif family == "complete":
         if n < 2:
@@ -540,47 +506,14 @@ def generate_dla_orbit_compressed(
             "orbit-compressed closure supports the 'cycle' and 'complete' "
             "families only"
         )
-    ledger, snaps, degree, used = _closure_engine(gen_dicts, bracket, memory_budget)
-    if coords == "cycle-orbit":
-        basis = [
-            {unpack_pauli(n, k): c for k, c in s.items()} for s in snaps
-        ]
-    else:
-        basis = [dict(s) for s in snaps]
-    return DlaReport(
-        basis=basis,
-        dimension=ledger.rank,
-        degree=degree,
-        generator_count=used,
-        n=n,
-        coords=coords,
-        ledger=ledger,
-        _gen_dicts=gen_dicts,
-        _basis_dicts=snaps,
-        _bracket=bracket,
-    )
-
-
-def _resolve_gen_dicts(report: DlaReport, generators) -> list[dict]:
-    if generators is None:
-        return report._gen_dicts
-    if report.coords == "pauli":
-        return [
-            pauli_vector_to_dict(g) if isinstance(g, PauliVector) else dict(g)
-            for g in generators
-        ]
-    return [dict(g) for g in generators]
+    return _closure_engine(n, coords, gen_dicts, bracket, memory_budget)
 
 
 def _combine_basis(report: DlaReport, combo: dict) -> dict:
     acc: dict = {}
     for i, c in combo.items():
         for k, cc in report._basis_dicts[i].items():
-            s = acc.get(k, 0) + c * cc
-            if s == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
+            _add_term(acc, k, c * cc)
     return acc
 
 
@@ -592,20 +525,20 @@ def _publish(report: DlaReport, d: dict):
     return dict(d)
 
 
-def _center_map(report: DlaReport, generators):
+def _center_map(report: DlaReport):
     """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis element."""
-    gen_dicts = _resolve_gen_dicts(report, generators)
     bracket = report._bracket
     for b in report._basis_dicts:
         w = {}
-        for gi, gd in enumerate(gen_dicts):
+        for gi, gd in enumerate(report._gen_dicts):
             for k, c in bracket(gd, b).items():
                 w[(gi, k)] = c
         yield w
 
 
 def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
-    """Rank-only ledger of the vectors, under the report's memory budget."""
+    """Echelon ledger of the vectors under the report's memory budget; a
+    budget error names the stage."""
     led = LinearLedger(report.ledger.memory_budget, maintain_rref=False)
     try:
         for v in vectors:
@@ -615,24 +548,28 @@ def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
     return led
 
 
-def center(report: DlaReport, generators=None) -> list:
+def center(report: DlaReport) -> list:
     """Basis of the center: elements of the span killed by every generator.
 
     An element commuting with all generators commutes with the whole
     closure (Jacobi identity), so the center is the null space of the
-    stacked maps v -> [G_j, v] restricted to the basis span.  Exact.
+    stacked maps v -> [G_j, v] restricted to the basis span, solved as in
+    :func:`nullspace_combos` under the report's memory budget.  Exact.
     """
-    combos = nullspace_combos(list(_center_map(report, generators)))
-    return [_publish(report, _combine_basis(report, combo)) for combo in combos]
+    led = _rank_ledger(report, "center", _lifted(_center_map(report)))
+    return [
+        _publish(report, _combine_basis(report, combo))
+        for combo in _marker_combos(led)
+    ]
 
 
-def center_dimension(report: DlaReport, generators=None) -> int:
+def center_dimension(report: DlaReport) -> int:
     """dim of the center via the rank of the stacked adjoint map."""
-    led = _rank_ledger(report, "center", _center_map(report, generators))
+    led = _rank_ledger(report, "center", _center_map(report))
     return report.dimension - led.rank
 
 
-def _ideal_ledger(report: DlaReport, generators=None) -> LinearLedger:
+def ideal_ledger(report: DlaReport) -> LinearLedger:
     """Rank-only ledger spanning [g, g] = span{[G_j, b] : b in basis}.
 
     For a generated algebra this bracket stream spans the full ideal: by
@@ -640,23 +577,22 @@ def _ideal_ledger(report: DlaReport, generators=None) -> LinearLedger:
     of generators with closure elements.  Each call builds a fresh ledger;
     a caller that needs both the rank and membership tests builds it once.
     """
-    gen_dicts = _resolve_gen_dicts(report, generators)
     bracket = report._bracket
     return _rank_ledger(
         report,
         "ideal",
-        (bracket(gd, b) for gd in gen_dicts for b in report._basis_dicts),
+        (bracket(gd, b) for gd in report._gen_dicts for b in report._basis_dicts),
     )
 
 
-def commutator_ideal(report: DlaReport, generators=None) -> list:
+def commutator_ideal(report: DlaReport) -> list:
     """Independent spanning set of [g, g]: the rows of its ledger.
 
     Raises ArithmeticError unless the exact splitting
     dim(center) + dim(ideal) == dim(g) holds.
     """
-    led = _ideal_ledger(report, generators)
-    cdim = center_dimension(report, generators)
+    led = ideal_ledger(report)
+    cdim = center_dimension(report)
     if cdim + led.rank != report.dimension:
         raise ArithmeticError(
             "center and commutator ideal must split the algebra: "
@@ -665,6 +601,6 @@ def commutator_ideal(report: DlaReport, generators=None) -> list:
     return [_publish(report, row) for row in led.rows]
 
 
-def ideal_dimension(report: DlaReport, generators=None) -> int:
+def ideal_dimension(report: DlaReport) -> int:
     """dim of [g, g] without materializing the spanning vectors."""
-    return _ideal_ledger(report, generators).rank
+    return ideal_ledger(report).rank

@@ -28,8 +28,8 @@ from .closure import (
     LinearLedger,
     ad_cut_type,
     ad_field_type,
-    _ideal_ledger,
     generate_dla_orbit_compressed,
+    ideal_ledger,
 )
 from .paulis import PauliString, PauliVector, SparseVector
 
@@ -230,7 +230,7 @@ def fact_suite(
         report = generate_dla_orbit_compressed("complete", n)
     span = report.ledger
     if ideal is None:
-        ideal = _ideal_ledger(report)
+        ideal = ideal_ledger(report)
     types = _types_in_range(n)
     results = {}
 

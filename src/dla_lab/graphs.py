@@ -9,6 +9,9 @@ from pathlib import Path
 from .paulis import PauliString, PauliVector, anticommute
 from .symmetry import PermGroup, graph_automorphisms, orbit_count
 
+# dimension_bounds searches automorphisms by brute force up to this many vertices
+AUT_VERTEX_CAP = 10
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -139,14 +142,14 @@ def maxcut_generators(graph: Graph) -> list[PauliVector]:
     return [field_term, cut_term]
 
 
-def dimension_bounds(graph: Graph, aut_vertex_cap: int = 10) -> dict:
+def dimension_bounds(graph: Graph) -> dict:
     """Cheap upper bounds on the closure dimension.
 
     aut_bound counts the non-identity Pauli strings up to graph
     automorphism (Burnside); the closure basis can be chosen invariant, so
     its dimension never exceeds the number of orbits.  Closed forms are
     used for the named families; other graphs get a brute-force
-    automorphism search up to ``aut_vertex_cap`` vertices, and None beyond.
+    automorphism search up to ``AUT_VERTEX_CAP`` vertices, and None beyond.
     center_bound reflects that these two-generator closures never carry
     more than a two-dimensional center.
     """
@@ -159,8 +162,8 @@ def dimension_bounds(graph: Graph, aut_vertex_cap: int = 10) -> dict:
         aut = orbit_count(n, PermGroup.dihedral(n)) - 1
     elif graph.family == "path":
         aut = orbit_count(n, PermGroup.reversal(n)) - 1
-    elif n <= aut_vertex_cap:
-        aut = orbit_count(n, graph_automorphisms(graph)) - 1
+    elif n <= AUT_VERTEX_CAP:
+        aut = orbit_count(n, graph_automorphisms(graph, AUT_VERTEX_CAP)) - 1
     else:
         aut = None
     return {"aut_bound": aut, "center_bound": 2}

@@ -5,13 +5,18 @@ A permutation here acts on qubit *positions*: ``images[j]`` is where qubit
 ``j`` is sent, so the operator sitting on qubit ``j`` moves to qubit
 ``images[j]``.  Acting on a Pauli string permutes both masks identically,
 hence preserves the letter counts (the type) of the string.
+
+``PackedOrbits`` is the one orbit map: built from any ``PermGroup``, it
+canonicalises packed ``(x_mask << n) | z_mask`` keys.  The orbit-compressed
+closure, ``orbit_strings`` and ``compress``/``decompress`` all go through it,
+and ``apply_perm`` shares its bit-permuting routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paulis import PauliString, PauliVector
+from .paulis import PauliString, PauliVector, pack_pauli, unpack_pauli
 
 # Explicit group enumeration is refused beyond this many elements (10!).
 ENUMERATION_CAP = 3_628_800
@@ -58,16 +63,37 @@ class Permutation:
         return cycles
 
 
+def _bit_images(perm: Permutation) -> list[int]:
+    """Image, as a one-bit mask, of each bit of a packed ``(x << n) | z`` key."""
+    n = perm.n
+    return [1 << i for i in perm.images] + [1 << (n + i) for i in perm.images]
+
+
+def _set_bits(key: int) -> list[int]:
+    """Positions of the set bits of key, lowest first."""
+    out = []
+    while key:
+        low = key & -key
+        out.append(low.bit_length() - 1)
+        key ^= low
+    return out
+
+
+def _permute_bits(bits: list[int], positions: list[int]) -> int:
+    """The key whose set bits are the images of ``positions``.
+
+    The one bit-permuting routine.  The images are distinct bits, so their
+    sum is their OR.
+    """
+    return sum(map(bits.__getitem__, positions))
+
+
 def apply_perm(perm: Permutation, p: PauliString) -> PauliString:
     """Push a Pauli string forward: qubit j's letter moves to perm.images[j]."""
     if perm.n != p.n:
         raise ValueError(f"sizes differ: {perm.n} != {p.n}")
-    x = z = 0
-    xm, zm = p.x_mask, p.z_mask
-    for j, i in enumerate(perm.images):
-        x |= ((xm >> j) & 1) << i
-        z |= ((zm >> j) & 1) << i
-    return PauliString(p.n, x, z)
+    key = _permute_bits(_bit_images(perm), _set_bits(pack_pauli(p)))
+    return unpack_pauli(p.n, key)
 
 
 def apply_perm_vector(perm: Permutation, v: PauliVector) -> PauliVector:
@@ -162,27 +188,43 @@ class PermGroup:
         return iter(self.elements())
 
 
-@dataclass(frozen=True, slots=True)
-class Orbit:
-    """An orbit of Pauli strings: canonical representative and its size.
+class PackedOrbits:
+    """Orbits of packed Pauli keys ``(x_mask << n) | z_mask`` under a group.
 
-    The representative is the lexicographic minimum of (x_mask, z_mask)
-    over the group images, giving deterministic deduplication.
+    Holds, per group element, the image of each of the 2n key bits; a key
+    is mapped through its set bits only, found once for all elements.  Every
+    orbit met is cached under each of its members.
     """
 
-    representative: PauliString
-    size: int
+    def __init__(self, group: PermGroup):
+        self.n = group.n
+        self._tables = [_bit_images(g) for g in group]
+        self._cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+
+    def orbit(self, key: int) -> tuple[int, int, tuple[int, ...]]:
+        """(representative, size, sorted members) of the orbit through key.
+
+        The representative is the smallest member, which is the
+        lexicographic minimum of (x_mask, z_mask) over the orbit.
+        """
+        got = self._cache.get(key)
+        if got is None:
+            positions = _set_bits(key)
+            members = sorted({_permute_bits(t, positions) for t in self._tables})
+            got = (members[0], len(members), tuple(members))
+            self._cache.update(dict.fromkeys(members, got))
+        return got
+
+    def strings(self, p: PauliString) -> list[PauliString]:
+        """Distinct images of p, sorted by (x_mask, z_mask)."""
+        if p.n != self.n:
+            raise ValueError(f"sizes differ: {self.n} != {p.n}")
+        return [unpack_pauli(self.n, k) for k in self.orbit(pack_pauli(p))[2]]
 
 
 def orbit_strings(p: PauliString, group: PermGroup) -> list[PauliString]:
     """Distinct images of p under the group, sorted by (x_mask, z_mask)."""
-    images = {apply_perm(g, p) for g in group}
-    return sorted(images, key=PauliString.key)
-
-
-def orbit_of(p: PauliString, group: PermGroup) -> Orbit:
-    strings = orbit_strings(p, group)
-    return Orbit(strings[0], len(strings))
+    return PackedOrbits(group).strings(p)
 
 
 def orbit_sum(p: PauliString, group: PermGroup) -> PauliVector:
@@ -215,11 +257,12 @@ def compress(v: PauliVector, group: PermGroup) -> dict[PauliString, object]:
     constant on some orbit (i.e. not group-invariant), since compression
     would silently lose information there.
     """
+    orbits = PackedOrbits(group)
     out: dict[PauliString, object] = {}
     remaining = dict(v.terms())
     while remaining:
         p, c = next(iter(remaining.items()))
-        strings = orbit_strings(p, group)
+        strings = orbits.strings(p)
         for q in strings:
             if remaining.pop(q, None) != c:
                 raise ValueError("vector is not invariant under the group")
@@ -231,9 +274,10 @@ def decompress(
     compressed: dict[PauliString, object], group: PermGroup, n: int
 ) -> PauliVector:
     """Inverse of :func:`compress`: expand each orbit back to strings."""
+    orbits = PackedOrbits(group)
     entries: dict[PauliString, object] = {}
     for rep, c in compressed.items():
-        for q in orbit_strings(rep, group):
+        for q in orbits.strings(rep):
             entries[q] = c
     return PauliVector(n, entries)
 

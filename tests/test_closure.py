@@ -22,6 +22,7 @@ from dla_lab.closure import (
     span_ledger,
 )
 from dla_lab.graphs import Graph, maxcut_generators
+from dla_lab.symmetry import PermGroup, decompress
 from dla_lab.paulis import (
     PauliString,
     PauliVector,
@@ -190,6 +191,20 @@ def test_orbit_compressed_complete_matches_raw():
     assert packed.coords == "complete-orbit"
 
 
+def test_cycle_orbit_closure_matches_raw_closure():
+    """The decompressed dihedral-orbit closure and the raw closure have
+    identical canonical rows, for rings of 3 to 8 qubits."""
+    for n in range(3, 9):
+        raw = generate_dla(maxcut_generators(Graph.cycle(n)))
+        packed = generate_dla_orbit_compressed("cycle", n)
+        group = PermGroup.dihedral(n)
+        expanded = span_ledger(
+            pauli_vector_to_dict(decompress(d, group, n)) for d in packed.basis
+        )
+        assert packed.dimension == raw.dimension == 3 * n - 1
+        assert expanded.canonical_rows() == raw.ledger.canonical_rows()
+
+
 def test_orbit_compressed_rejects_unknown_family():
     with pytest.raises(ValueError):
         generate_dla_orbit_compressed("wheel", 5)
@@ -208,6 +223,15 @@ def test_center_of_cycle_closure():
     for v in basis:
         for g in gens:
             assert commutator(g, v).is_zero()
+
+
+def test_center_is_bounded_by_the_memory_budget():
+    # the closure fits in 200 entries (132); the center's null-space
+    # ledger needs 287 and must give up, naming its stage
+    report = generate_dla(maxcut_generators(Graph.cycle(6)), memory_budget=200)
+    assert report.ledger.entry_count == 132
+    with pytest.raises(ResourceBudgetError, match="center stage"):
+        center(report)
 
 
 def test_center_dimension_complete_parity():

@@ -8,8 +8,10 @@ import pytest
 
 from dla_lab.graphs import Graph
 from dla_lab.paulis import PauliString, PauliVector
+from dla_lab.paulis import pack_pauli
 from dla_lab.symmetry import (
     GroupTooLarge,
+    PackedOrbits,
     PermGroup,
     Permutation,
     apply_perm,
@@ -67,6 +69,34 @@ def test_dihedral_orbit_of_yz():
         "ZIY",
         "ZYI",
     ]
+
+
+def _relabel(perm, label):
+    """Move the letter on qubit j to qubit perm.images[j], on the label."""
+    out = ["I"] * len(label)
+    for j, ch in enumerate(label):
+        out[perm.images[j]] = ch
+    return "".join(out)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [PermGroup.dihedral(4), PermGroup.reversal(4), PermGroup.symmetric(4)],
+    ids=["dihedral", "reversal", "symmetric"],
+)
+def test_packed_orbits_agree_with_string_actions(group):
+    orbits = PackedOrbits(group)
+    for label in ("XIII", "YZII", "ZXYI", "XYZX", "IIIY", "ZIZI"):
+        p = PauliString.from_label(label)
+        images = {_relabel(g, label) for g in group}
+        assert images == {apply_perm(g, p).label() for g in group}
+        strings = orbit_strings(p, group)
+        assert sorted(images) == sorted(q.label() for q in strings)
+        rep, size, members = orbits.orbit(pack_pauli(p))
+        assert members == tuple(pack_pauli(q) for q in strings)
+        assert rep == min(members) and size == len(images)
+        for key in members:
+            assert orbits.orbit(key) == (rep, size, members)
 
 
 def test_orbit_sum_coefficients():
