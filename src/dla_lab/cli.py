@@ -36,7 +36,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closure import (
@@ -69,7 +68,7 @@ from .cycle_forms import (
     su2_relation_residuals,
 )
 from .graphs import dimension_bounds, kn_formulas, maxcut_generators, parse_graph_spec
-from .paulis import commutator, pauli_type
+from .paulis import commutator
 from .spectral import RECOMPUTE_VERTEX_CAP, cycle_spectral_report
 
 SCHEMA_VERSION = "dla-lab/1"
@@ -87,30 +86,6 @@ EXPANSION_CHECK_CAP = 8
 
 class UsageError(ValueError):
     """Bad command input detected after argument parsing."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings shared by all commands."""
-
-    command: str
-    graph: str | None = None
-    family: str | None = None
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    orbit_compress: bool = False
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
-    tolerance: float = DEFAULT_TOLERANCE
-    output: str = "json"
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise UsageError("tolerance must be positive")
-        if self.memory_budget <= 0:
-            raise UsageError("memory budget must be positive")
-        if self.output not in ("json", "csv", "text"):
-            raise UsageError(f"unknown output format {self.output!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +137,12 @@ def _render_csv(rows: list[dict]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    if config.output == "json":
+def _emit(payload: dict, output: str) -> None:
+    if output == "json":
         print(render_json(payload))
-    elif config.output == "text":
+    elif output == "text":
         print(_render_text(payload))
-    elif config.output == "csv":
+    elif output == "csv":
         if "rows" not in payload:
             raise UsageError("csv output is only available for sweep")
         print(_render_csv(payload["rows"]))
@@ -177,51 +152,35 @@ def _emit(payload: dict, config: RunConfig) -> None:
 # shared computation pieces
 
 
-def _all_x_mask(n: int) -> int:
-    return (1 << n) - 1
-
-
 def _basis_parity_ok(report: DlaReport) -> bool:
     """Every basis element YZ-even, with identity and all-X excluded.
 
-    Works in whichever coordinate system the closure ran in; both checks
-    are invariant under qubit permutations, so testing orbit
+    Reads the keys of the closure ledger's rows: every basis of a span
+    touches the same keys.  Type keys ``(p, q, r)`` count X, Y and Z;
+    packed keys ``(x_mask << n) | z_mask`` have one z bit per Y or Z.
+    Both checks are invariant under qubit permutations, so testing orbit
     representatives is equivalent to testing every string.
     """
+    n = report.n
+    keys = (key for row in report.ledger.rows for key in row)
     if report.coords == "complete-orbit":
-        n = report.n
-        for vec in report.basis:
-            for (p, q, r) in vec:
-                if (q + r) % 2 != 0:
-                    return False
-                if (p, q, r) in ((0, 0, 0), (n, 0, 0)):
-                    return False
-        return True
-    full = _all_x_mask(report.n)
-    if report.coords == "pauli":
-        strings = (p for vec in report.basis for p in vec.support())
-    else:
-        strings = (p for vec in report.basis for p in vec.keys())
-    for p in strings:
-        if not pauli_type(p).yz_even:
-            return False
-        if p.is_identity() or (p.x_mask == full and p.z_mask == 0):
-            return False
-    return True
-
-
-def _compute_row(graph, config: RunConfig) -> dict:
-    start = time.perf_counter()
-    if config.orbit_compress:
-        if graph.family not in ("cycle", "complete"):
-            raise UsageError(
-                "orbit compression needs a cycle:N or complete:N graph"
-            )
-        report = generate_dla_orbit_compressed(
-            graph.family, graph.n, config.memory_budget
+        return all(
+            (q + r) % 2 == 0 and (p, q, r) not in ((0, 0, 0), (n, 0, 0))
+            for p, q, r in keys
         )
+    mask = (1 << n) - 1
+    return all(
+        (key & mask).bit_count() % 2 == 0 and key not in (0, mask << n)
+        for key in keys
+    )
+
+
+def _compute_row(graph, orbit_compress: bool, memory_budget: int) -> dict:
+    start = time.perf_counter()
+    if orbit_compress:
+        report = generate_dla_orbit_compressed(graph.family, graph.n, memory_budget)
     else:
-        report = generate_dla(maxcut_generators(graph), config.memory_budget)
+        report = generate_dla(maxcut_generators(graph), memory_budget)
     cdim = center_dimension(report)
     idim = ideal_dimension(report)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
@@ -265,23 +224,23 @@ class _CheckList:
 # commands
 
 
-def cmd_compute(config: RunConfig) -> int:
-    graph = parse_graph_spec(config.graph)
-    row = _compute_row(graph, config)
-    payload = {"schema": SCHEMA_VERSION, "command": "compute", "graph": config.graph}
+def cmd_compute(args: argparse.Namespace) -> int:
+    graph = parse_graph_spec(args.graph)
+    row = _compute_row(graph, args.orbit_compress, args.memory_budget)
+    payload = {"schema": SCHEMA_VERSION, "command": "compute", "graph": args.graph}
     payload.update(row)
-    _emit(payload, config)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
-def cmd_verify_cycle(config: RunConfig) -> int:
-    n = config.n
-    if n is None or n < 3:
+def cmd_verify_cycle(args: argparse.Namespace) -> int:
+    n = args.n
+    if n < 3:
         raise UsageError("n >= 3 required for the cycle family")
-    tol = config.tolerance
+    tol = args.tolerance
     checks = _CheckList()
 
-    report = generate_dla_orbit_compressed("cycle", n, config.memory_budget)
+    report = generate_dla_orbit_compressed("cycle", n, args.memory_budget)
     checks.add(
         "dimension-3n-minus-1",
         report.dimension == 3 * n - 1,
@@ -364,17 +323,17 @@ def cmd_verify_cycle(config: RunConfig) -> int:
         "checks": checks.checks,
         "ok": checks.all_ok,
     }
-    _emit(payload, config)
+    _emit(payload, args.output)
     return EXIT_OK if checks.all_ok else EXIT_VERIFY
 
 
-def cmd_verify_complete(config: RunConfig) -> int:
-    n = config.n
-    if n is None or n < 2:
+def cmd_verify_complete(args: argparse.Namespace) -> int:
+    n = args.n
+    if n < 2:
         raise UsageError("n >= 2 required for the complete family")
     checks = _CheckList()
 
-    report = generate_dla_orbit_compressed("complete", n, config.memory_budget)
+    report = generate_dla_orbit_compressed("complete", n, args.memory_budget)
     forms = kn_formulas(n)
     checks.add(
         "dimension-formula",
@@ -433,33 +392,33 @@ def cmd_verify_complete(config: RunConfig) -> int:
         "schema": SCHEMA_VERSION,
         "command": "verify-complete",
         "n": n,
-        "tolerance": config.tolerance,
+        "tolerance": args.tolerance,
         "checks": checks.checks,
         "ok": checks.all_ok,
         "note": DECOMPOSITION_CONJECTURE,
     }
-    _emit(payload, config)
+    _emit(payload, args.output)
     return EXIT_OK if checks.all_ok else EXIT_VERIFY
 
 
-def cmd_variance(config: RunConfig) -> int:
-    if config.family != "cycle":
+def cmd_variance(args: argparse.Namespace) -> int:
+    if args.family != "cycle":
         raise UsageError(
             f"variance needs --family cycle: only the cycle family has a "
-            f"proven decomposition into components (got {config.family!r})"
+            f"proven decomposition into components (got {args.family!r})"
         )
-    n = config.n
-    if n is None or n < 3:
+    n = args.n
+    if n < 3:
         raise UsageError("n >= 3 required for the cycle family")
     try:
-        report = cycle_spectral_report(n, config.tolerance)
+        report = cycle_spectral_report(n, args.tolerance)
     except ArithmeticError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "variance",
-        "family": config.family,
+        "family": args.family,
         "n": n,
         "expectation": report.expectation,
         "variance": report.variance,
@@ -467,17 +426,17 @@ def cmd_variance(config: RunConfig) -> int:
             [p.rho, p.obs] for p in report.purity_per_component
         ],
     }
-    _emit(payload, config)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    graph = parse_graph_spec(config.graph)
+def cmd_bounds(args: argparse.Namespace) -> int:
+    graph = parse_graph_spec(args.graph)
     bounds = dimension_bounds(graph)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "bounds",
-        "graph": config.graph,
+        "graph": args.graph,
         "n": graph.n,
         "aut_bound": bounds["aut_bound"],
         "center_bound": bounds["center_bound"],
@@ -487,37 +446,30 @@ def cmd_bounds(config: RunConfig) -> int:
         payload["binom_bound"] = forms["binom_bound"]
         payload["yz_bound"] = forms["yz_bound"]
         payload["dim_formula"] = forms["dim"]
-    _emit(payload, config)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.family not in ("cycle", "complete"):
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.family not in ("cycle", "complete"):
         raise UsageError("sweep supports --family cycle or complete")
-    floor = 3 if config.family == "cycle" else 2
-    lo, hi = config.n_min, config.n_max
-    if lo is None or hi is None or lo < floor or hi < lo:
+    floor = 3 if args.family == "cycle" else 2
+    lo, hi = args.min, args.max
+    if lo < floor or hi < lo:
         raise UsageError(
             f"sweep needs --min and --max with {floor} <= min <= max"
         )
-    sweep_config = RunConfig(
-        command="compute",
-        orbit_compress=True,
-        memory_budget=config.memory_budget,
-        tolerance=config.tolerance,
-        output=config.output,
-    )
     rows = []
     for n in range(lo, hi + 1):
-        graph = parse_graph_spec(f"{config.family}:{n}")
-        rows.append(_compute_row(graph, sweep_config))
+        graph = parse_graph_spec(f"{args.family}:{n}")
+        rows.append(_compute_row(graph, True, args.memory_budget))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "sweep",
-        "family": config.family,
+        "family": args.family,
         "rows": rows,
     }
-    _emit(payload, config)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -635,30 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        graph=getattr(args, "graph", None),
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        n_min=getattr(args, "min", None),
-        n_max=getattr(args, "max", None),
-        orbit_compress=getattr(args, "orbit_compress", False),
-        memory_budget=args.memory_budget,
-        tolerance=args.tolerance,
-        output=args.output,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,11 +27,16 @@ The same engine runs in three coordinate systems:
   representatives of orbits under ``PermGroup.dihedral(n)``, from the one
   orbit map ``symmetry.PackedOrbits``), bracketed by the same kernel on a
   representative against a whole orbit, then folded back to orbits;
-* type coordinates ``(p, q, r)`` for complete graphs, where only the two
-  generators ever act, via their closed-form adjoint maps.
+* type coordinates ``(p, q, r)`` for complete graphs, via the two
+  generators' closed-form adjoint maps.
 
-The center and the commutator ideal are ranked, and the center's basis
-solved for, by ledgers under the closure's memory budget.
+Every generator acts only through its adjoint map ``v -> [G_j, v]``: the
+engine takes (vector, adjoint map) pairs, and the closure rounds, the
+center and the commutator ideal all apply the maps of B0 to basis
+elements.  The center and the ideal are ranked, and the center's basis
+solved for, by ledgers under the closure's memory budget.  The basis is
+kept once, as the ledger's packed snapshots; ``DlaReport.basis``
+publishes it in the caller's vector types on first access.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, lcm
 
 from .paulis import (
@@ -357,72 +362,48 @@ def ad_cut_type(n: int, v: dict) -> dict:
     return out
 
 
-_SYM_GEN_A = {(1, 0, 0): 1}
-_SYM_GEN_B = {(0, 0, 2): 1}
-
-
-def _sym_orbit_bracket(n: int):
-    """Bracket in (p, q, r) coordinates; only the two generators act."""
-
-    def negate(d: dict) -> dict:
-        return {k: -c for k, c in d.items()}
-
-    def bracket(u: dict, v: dict) -> dict:
-        if u == _SYM_GEN_A:
-            return ad_field_type(n, v)
-        if u == _SYM_GEN_B:
-            return ad_cut_type(n, v)
-        if v == _SYM_GEN_A:
-            return negate(ad_field_type(n, u))
-        if v == _SYM_GEN_B:
-            return negate(ad_cut_type(n, u))
-        raise NotImplementedError(
-            "type-coordinate brackets are only defined against the two "
-            "generators"
-        )
-
-    return bracket
-
-
 # ---------------------------------------------------------------------------
 # reports and the engine
 
 
 @dataclass
 class DlaReport:
-    """Closure output: basis, dimension, degree, and bookkeeping.
+    """Closure output: dimension, degree, basis and bookkeeping.
 
-    ``basis`` entries are PauliVectors for raw runs, ``{PauliString: int}``
+    ``basis`` is published on first access from the closure's own packed
+    snapshots: PauliVectors for raw runs, ``{PauliString: int}``
     orbit-representative dicts for cycle-orbit runs, and
     ``{(p, q, r): int}`` dicts for complete-graph type coordinates.
     ``generator_count`` is the number of independent generators actually
-    used (the size of B0).  ``ledger`` is the closure's span, in the
-    closure's packed coordinates; its memory budget also bounds the center
-    and ideal ledgers built from this report.
+    used (the size of B0), and the center and ideal stages act through
+    their adjoint maps ``v -> [G_j, v]``.  ``ledger`` is the closure's
+    span, in the closure's packed coordinates; its memory budget also
+    bounds the center and ideal ledgers built from this report.
     """
 
-    basis: list
     dimension: int
     degree: int
     generator_count: int
     n: int
     coords: str
     ledger: LinearLedger = field(repr=False, compare=False, default=None)
-    _gen_dicts: list = field(repr=False, compare=False, default=None)
-    _basis_dicts: list = field(repr=False, compare=False, default=None)
-    _bracket: object = field(repr=False, compare=False, default=None)
+    _basis_dicts: list = field(repr=False, default=None)
+    _adjoints: list = field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def basis(self) -> list:
+        return [_publish(self, d) for d in self._basis_dicts]
 
 
-def _closure_engine(
-    n: int, coords: str, gen_dicts, bracket, memory_budget
-) -> DlaReport:
+def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport:
+    """Close (vector, adjoint map) pairs, ``ad(v) == [vector, v]``."""
     ledger = LinearLedger(memory_budget)
-    b0 = []
+    adjoints = []
     snaps = []
-    for gd in gen_dicts:
+    for gd, ad in generators:
         snap = ledger.insert(gd)
         if snap is not None:
-            b0.append(gd)
+            adjoints.append(ad)
             snaps.append(snap)
     frontier = list(snaps)
     degree = 0
@@ -431,9 +412,9 @@ def _closure_engine(
         round_no += 1
         new = []
         try:
-            for gd in b0:
+            for ad in adjoints:
                 for f in frontier:
-                    snap = ledger.insert(bracket(gd, f))
+                    snap = ledger.insert(ad(f))
                     if snap is not None:
                         new.append(snap)
         except ResourceBudgetError as exc:
@@ -445,20 +426,16 @@ def _closure_engine(
             degree = round_no
             snaps.extend(new)
         frontier = new
-    report = DlaReport(
-        basis=[],
+    return DlaReport(
         dimension=ledger.rank,
         degree=degree,
-        generator_count=len(b0),
+        generator_count=len(adjoints),
         n=n,
         coords=coords,
         ledger=ledger,
-        _gen_dicts=gen_dicts,
         _basis_dicts=snaps,
-        _bracket=bracket,
+        _adjoints=adjoints,
     )
-    report.basis = [_publish(report, s) for s in snaps]
-    return report
 
 
 def generate_dla(
@@ -473,8 +450,8 @@ def generate_dla(
         if g.n != n:
             raise ValueError("generators must share a qubit count")
     gen_dicts = [pauli_vector_to_dict(g) for g in generators]
-    bracket = partial(pauli_bracket, n)
-    return _closure_engine(n, "pauli", gen_dicts, bracket, memory_budget)
+    pairs = [(d, partial(pauli_bracket, n, d)) for d in gen_dicts]
+    return _closure_engine(n, "pauli", pairs, memory_budget)
 
 
 def generate_dla_orbit_compressed(
@@ -487,26 +464,25 @@ def generate_dla_orbit_compressed(
         if n < 3:
             raise ValueError("ring family needs n >= 3")
         orbits = PackedOrbits(PermGroup.dihedral(n))
-        x0 = 1 << n  # X on qubit 0
-        zz = 0b11  # Z on qubits 0, 1
-        gen_dicts = [
-            {orbits.orbit(x0)[0]: 1},
-            {orbits.orbit(zz)[0]: 1},
-        ]
         bracket = _group_orbit_bracket(n, orbits)
+        # X on qubit 0, then Z on qubits 0 and 1
+        gen_dicts = [{orbits.orbit(key)[0]: 1} for key in (1 << n, 0b11)]
+        pairs = [(d, partial(bracket, d)) for d in gen_dicts]
         coords = "cycle-orbit"
     elif family == "complete":
         if n < 2:
             raise ValueError("complete family needs n >= 2")
-        gen_dicts = [dict(_SYM_GEN_A), dict(_SYM_GEN_B)]
-        bracket = _sym_orbit_bracket(n)
+        pairs = [
+            ({(1, 0, 0): 1}, partial(ad_field_type, n)),
+            ({(0, 0, 2): 1}, partial(ad_cut_type, n)),
+        ]
         coords = "complete-orbit"
     else:
         raise ValueError(
             "orbit-compressed closure supports the 'cycle' and 'complete' "
             "families only"
         )
-    return _closure_engine(n, coords, gen_dicts, bracket, memory_budget)
+    return _closure_engine(n, coords, pairs, memory_budget)
 
 
 def _combine_basis(report: DlaReport, combo: dict) -> dict:
@@ -527,11 +503,10 @@ def _publish(report: DlaReport, d: dict):
 
 def _center_map(report: DlaReport):
     """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis element."""
-    bracket = report._bracket
     for b in report._basis_dicts:
         w = {}
-        for gi, gd in enumerate(report._gen_dicts):
-            for k, c in bracket(gd, b).items():
+        for gi, ad in enumerate(report._adjoints):
+            for k, c in ad(b).items():
                 w[(gi, k)] = c
         yield w
 
@@ -577,11 +552,10 @@ def ideal_ledger(report: DlaReport) -> LinearLedger:
     of generators with closure elements.  Each call builds a fresh ledger;
     a caller that needs both the rank and membership tests builds it once.
     """
-    bracket = report._bracket
     return _rank_ledger(
         report,
         "ideal",
-        (bracket(gd, b) for gd in report._gen_dicts for b in report._basis_dicts),
+        (ad(b) for ad in report._adjoints for b in report._basis_dicts),
     )
 
 

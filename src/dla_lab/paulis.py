@@ -340,7 +340,7 @@ def commutator(a: PauliVector, b: PauliVector) -> PauliVector:
     return a._new({unpack_pauli(n, k): c for k, c in packed.items()})
 
 
-def hs_inner(a: PauliVector, b: PauliVector):
+def hs_inner(a: SparseVector, b: SparseVector):
     """Hilbert-Schmidt inner product tr(A^dag B) = 2^n * sum_P a_P b_P.
 
     Real, symmetric and positive definite on the skew-Hermitian vectors

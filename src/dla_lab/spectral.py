@@ -62,14 +62,9 @@ class HermitianVector(SparseVector):
     def _label(self, p: PauliString) -> str:
         return p.label()
 
-    def as_coefficients(self) -> PauliVector:
-        """The coefficient-space twin, for inner products via hs_inner."""
-        return PauliVector(self.n, dict(self._coeffs))
-
     def norm_squared(self):
         """Squared Frobenius norm tr(H^2) = 2^n * sum_P c_P^2."""
-        v = self.as_coefficients()
-        return hs_inner(v, v)
+        return hs_inner(self, self)
 
 
 def plus_state(n: int) -> HermitianVector:
@@ -145,20 +140,6 @@ def _prepare_basis(
     return basis
 
 
-def _overlap_ratio_terms(h: HermitianVector, basis, pair_with=None):
-    """Yield per-basis-vector projection data (num, num2, den).
-
-    num = <B_j, H>, den = <B_j, B_j>; when ``pair_with`` is given, num2 is
-    <B_j, H2> for the second operator (used by :func:`expectation`).
-    """
-    hv = h.as_coefficients()
-    h2 = pair_with.as_coefficients() if pair_with is not None else None
-    for b in basis:
-        num = hs_inner(b, hv)
-        num2 = hs_inner(b, h2) if h2 is not None else None
-        yield num, num2, hs_inner(b, b)
-
-
 def _accumulate(values) -> object:
     """Sum keeping exact rationals exact, floats via fsum."""
     exact = Fraction(0)
@@ -179,22 +160,14 @@ def purity(
     """Squared Frobenius norm of the projection of ``h`` onto span(basis).
 
     Computed entirely in coefficient space as
-    ``sum_j <B_j, H>^2 / <B_j, B_j>`` over an orthogonal basis.  The basis
+    ``sum_j <B_j, H>^2 / <B_j, B_j>`` over an orthogonal basis, which is
+    :func:`expectation` of ``h`` paired with itself.  The basis
     is checked for pairwise orthogonality; a non-orthogonal basis with
     exact rational coefficients is re-orthogonalized by Gram-Schmidt,
     anything else is rejected.  Returns an exact rational when every
     input coefficient is exact, a float otherwise.
     """
-    basis = _prepare_basis(basis, tolerance)
-    contributions = []
-    for num, _, den in _overlap_ratio_terms(h, basis):
-        if num == 0:
-            continue
-        if isinstance(num, float) or isinstance(den, float):
-            contributions.append(num * num / den)
-        else:
-            contributions.append(Fraction(num) * Fraction(num) / Fraction(den))
-    return _accumulate(contributions)
+    return expectation(h, h, basis, tolerance)
 
 
 def expectation(
@@ -211,7 +184,10 @@ def expectation(
     """
     basis = _prepare_basis(center_basis, tolerance)
     contributions = []
-    for num, num2, den in _overlap_ratio_terms(rho, basis, pair_with=obs):
+    for b in basis:
+        num = hs_inner(b, rho)
+        num2 = hs_inner(b, obs)
+        den = hs_inner(b, b)
         if num == 0 or num2 == 0:
             continue
         if (

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from dla_lab.cli import main, render_json
+from dla_lab.cli import _basis_parity_ok, main, render_json
+from dla_lab.closure import DlaReport, generate_dla, span_ledger
+from dla_lab.paulis import PauliString, PauliVector
 
 
 def run(capsys, *argv):
@@ -56,6 +58,37 @@ def test_orbit_compression_needs_named_family(capsys):
     )
     assert code == 2
     assert "orbit" in err
+
+
+def _raw_closure(*labels):
+    return generate_dla(
+        [PauliVector.single_term(PauliString.from_label(s)) for s in labels]
+    )
+
+
+def _type_report(n, key):
+    return DlaReport(
+        dimension=1,
+        degree=0,
+        generator_count=1,
+        n=n,
+        coords="complete-orbit",
+        ledger=span_ledger([{key: 1}]),
+    )
+
+
+def test_parity_flag_on_packed_keys():
+    assert _basis_parity_ok(_raw_closure("XI", "ZZ"))
+    assert not _basis_parity_ok(_raw_closure("ZI", "XI"))  # YZ-odd
+    assert not _basis_parity_ok(_raw_closure("II"))  # identity
+    assert not _basis_parity_ok(_raw_closure("XX"))  # all-X
+
+
+def test_parity_flag_on_type_keys():
+    assert _basis_parity_ok(_type_report(2, (0, 0, 2)))
+    assert not _basis_parity_ok(_type_report(2, (0, 1, 0)))  # YZ-odd
+    assert not _basis_parity_ok(_type_report(2, (0, 0, 0)))  # identity
+    assert not _basis_parity_ok(_type_report(2, (2, 0, 0)))  # all-X
 
 
 def test_verify_cycle_passes(capsys):

@@ -5,11 +5,13 @@ K_4 = 15) were frozen from the dense-matrix oracle in
 tests/oracles/dense_oracle.py, which shares no code with the package.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from dla_lab.closure import (
+    DlaReport,
     LinearLedger,
     ResourceBudgetError,
     center,
@@ -158,6 +160,18 @@ def test_closure_abelian_degree_zero():
     assert report.dimension == 2 and report.degree == 0
 
 
+def test_basis_is_published_on_first_access():
+    """``basis`` is no constructor field; the first read publishes the
+    closure's snapshots once, spanning the closure's ledger."""
+    assert "basis" not in {f.name for f in fields(DlaReport)}
+    report = generate_dla(maxcut_generators(Graph.cycle(4)))
+    assert "basis" not in vars(report)
+    basis = report.basis
+    assert report.basis is basis
+    published = span_ledger([pauli_vector_to_dict(v) for v in basis])
+    assert published.canonical_rows() == report.ledger.canonical_rows()
+
+
 def test_closure_basis_spans_brackets():
     """Every pairwise bracket of basis elements stays inside the span."""
     report = generate_dla(maxcut_generators(Graph.cycle(4)))
@@ -223,6 +237,20 @@ def test_center_of_cycle_closure():
     for v in basis:
         for g in gens:
             assert commutator(g, v).is_zero()
+
+
+def test_dependent_generator_is_dropped_from_every_stage():
+    """A repeated generator is not in B0, so the closure, the center and
+    the ideal all act through the same two adjoint maps."""
+    a, b = maxcut_generators(Graph.cycle(5))
+    once = generate_dla([a, b])
+    twice = generate_dla([a, b, a])
+    assert twice.generator_count == once.generator_count == 2
+    assert (twice.dimension, twice.degree) == (once.dimension, once.degree)
+    assert center_dimension(twice) == center_dimension(once) == 2
+    assert center(twice) == center(once)
+    assert ideal_dimension(twice) == ideal_dimension(once)
+    assert commutator_ideal(twice) == commutator_ideal(once)
 
 
 def test_center_is_bounded_by_the_memory_budget():
