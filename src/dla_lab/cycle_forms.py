@@ -14,8 +14,9 @@ ring of n qubits (n >= 3).  Five orbit families appear:
 Offsets outside 0..n-2 fold back into this vocabulary: YXY(-1) = -X and
 YXY(n-1) = ZXZ(n-1) = XN1, while YXZ vanishes at both walls; reflecting
 an offset past the far wall (t -> 2n - t - 2) swaps YXY with ZXZ and
-flips the sign of YXZ.  ``orbit_term`` applies these reductions, so
-stored sums only ever hold canonical offsets.
+flips the sign of YXZ.  ``orbit_term`` and the per-ring-size folded
+structure-constant table behind ``orbit_bracket`` apply these
+reductions, so stored sums only ever hold canonical offsets.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
 (:class:`~dla_lab.paulis.SparseVector`) keyed by canonical orbits.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .paulis import PauliString, PauliVector, SparseVector
 
@@ -119,7 +121,7 @@ class CycleOrbitSum(SparseVector):
 
 def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
     """A single orbit with any integer offset, folded to canonical form."""
-    if coeff == 0 or n < 3:
+    if coeff == 0:
         return CycleOrbitSum.zero(n)
     if kind in ("X", "XN1"):
         return CycleOrbitSum(n, {CycleOrbit(kind): coeff})
@@ -171,10 +173,8 @@ def _orbit_strings(n: int, orbit: CycleOrbit) -> list[PauliString]:
 # ---------------------------------------------------------------------------
 # bracket table
 
-# [lhs(s), rhs(t)] for the two-endpoint families, written as
-# (out_kind, coeff, use_sum, shift): the output offset is
-# s + t + shift when use_sum else s - t + shift ... encoded explicitly
-# below instead, since only nine cases exist.
+# ``_folded_table(n)`` holds the closed-form structure constants of
+# ``_pair_bracket`` with ``_fold`` applied, one table per ring size n.
 
 
 def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
@@ -212,17 +212,62 @@ def _as_endpoint_terms(v: CycleOrbitSum) -> list:
     return out
 
 
+@cache
+def _folded_table(n: int) -> tuple[dict, dict]:
+    """The folded structure constants of ring size n, filled on first use.
+
+    The first map takes (kind1, s, kind2, t) to a tuple of
+    (coeff, sign, key) entries, one per non-vanishing term of
+    ``_pair_bracket`` after ``_fold``; the second takes each key
+    (``CycleOrbit.key()``) back to its orbit.
+    """
+    return {}, {}
+
+
+def _folded_pair(n: int, kind1: str, s: int, kind2: str, t: int) -> tuple:
+    """Fill and return one entry of ``_folded_table(n)``."""
+    pairs, orbits = _folded_table(n)
+    entries = []
+    for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
+        folded = _fold(n, kind, offset)
+        if folded is not None:
+            sign, orbit = folded
+            key = orbit.key()
+            orbits[key] = orbit
+            entries.append((coeff, sign, key))
+    pairs[kind1, s, kind2, t] = entries = tuple(entries)
+    return entries
+
+
 def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
-    """Commutator of two ring-orbit sums, exact in the coefficients."""
+    """Commutator of two ring-orbit sums, exact in the coefficients.
+
+    Each output coefficient receives ``sign * (coeff * c1 * c2)`` for
+    every pair term in turn, the additions ``orbit_term`` and
+    ``accumulate`` would make, so float and complex results are
+    bit-for-bit those of the term-by-term sum.
+    """
     if a.n != b.n:
         raise ValueError("mismatched ring sizes")
     n = a.n
-    acc = CycleOrbitSum.zero(n)
+    pairs, orbits = _folded_table(n)
+    rhs = _as_endpoint_terms(b)
+    acc = {}
     for kind1, s, c1 in _as_endpoint_terms(a):
-        for kind2, t, c2 in _as_endpoint_terms(b):
-            for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
-                acc.accumulate(orbit_term(n, kind, offset, coeff * c1 * c2))
-    return acc
+        for kind2, t, c2 in rhs:
+            entries = pairs.get((kind1, s, kind2, t))
+            if entries is None:
+                entries = _folded_pair(n, kind1, s, kind2, t)
+            for coeff, sign, key in entries:
+                c = coeff * c1 * c2
+                if c == 0:
+                    continue
+                total = acc.get(key, 0) + sign * c
+                if total == 0:
+                    acc.pop(key, None)
+                else:
+                    acc[key] = total
+    return CycleOrbitSum(n, {orbits[key]: c for key, c in acc.items()})
 
 
 def field_orbit(n: int) -> CycleOrbitSum:

@@ -177,6 +177,7 @@ def test_criterion_06_mode_basis_bracket_relations():
     """All nine ladder-triple relation families and all rotation-triple
     relations hold below 1e-9 for n = 3..16; the bracket of two diagonal
     elements cancels exactly in orbit coordinates, not merely small."""
+    start = time.perf_counter()
     for n in range(3, 17):
         canonical = canonical_relation_residuals(n)
         assert len(canonical) == 9
@@ -184,6 +185,7 @@ def test_criterion_06_mode_basis_bracket_relations():
         assert max(canonical.values()) < TOL, (n, canonical)
         rotations = su2_relation_residuals(n)
         assert max(rotations.values()) < TOL, (n, rotations)
+    assert time.perf_counter() - start < 60
 
 
 def test_criterion_07_purity_closed_forms():

@@ -20,6 +20,9 @@ from dla_lab import (
     su2_basis,
 )
 from dla_lab.cycle_forms import (
+    _as_endpoint_terms,
+    _folded_table,
+    _pair_bracket,
     CycleOrbit,
     CycleOrbitSum,
     ab_power_coeffs,
@@ -44,6 +47,10 @@ def test_orbit_validation():
     with pytest.raises(ValueError):
         # offset n-1 is not canonical: it folds into the all-but-one family
         CycleOrbitSum(5, {CycleOrbit("ZXZ", 4): 1})
+    with pytest.raises(ValueError):
+        orbit_term(2, "X")
+    with pytest.raises(ValueError):
+        orbit_term(2, "ZXZ", 0, 0)
 
 
 def test_orbit_string_counts():
@@ -153,6 +160,38 @@ def test_bracket_matches_expansion(n):
             assert orbit_bracket(a, b).expand() == commutator(
                 a.expand(), b.expand()
             )
+
+
+def _reference_bracket(a, b):
+    """Term-by-term bracket: one folded ``orbit_term`` per pair term."""
+    n = a.n
+    acc = CycleOrbitSum.zero(n)
+    for kind1, s, c1 in _as_endpoint_terms(a):
+        for kind2, t, c2 in _as_endpoint_terms(b):
+            for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
+                acc.accumulate(orbit_term(n, kind, offset, coeff * c1 * c2))
+    return acc
+
+
+def test_bracket_is_exactly_the_term_by_term_sum():
+    """Integer, complex and float brackets equal the term-by-term sum
+    with ``==``, not a tolerance: the folded table changes no addition.
+    Sizes alternate, so a table shared across ring sizes fails here.
+    Each mode meets itself and the next mode, which already reaches
+    every entry of the table."""
+    _folded_table.cache_clear()
+    for n in (5, 11, 3, 8, 5):
+        basis = cycle_basis(n)
+        for a in basis:
+            for b in basis:
+                assert orbit_bracket(a, b) == _reference_bracket(a, b)
+        ladders = [(t.h, t.u, t.v) for t in canonical_basis(n)]
+        rotations = [(t.x, t.y, t.z) for t in su2_basis(n)]
+        for modes in (ladders, rotations):
+            for mode, following in zip(modes, modes[1:] + modes[:1]):
+                for a in mode:
+                    for b in mode + following:
+                        assert orbit_bracket(a, b) == _reference_bracket(a, b)
 
 
 def test_power_rows_start_with_plain_commutator():
