@@ -35,8 +35,8 @@ engine takes (vector, adjoint map) pairs, and the closure rounds, the
 center and the commutator ideal all apply the maps of B0 to basis
 elements.  The center and the ideal are ranked, and the center's basis
 solved for, by ledgers under the closure's memory budget.  The basis is
-kept once, as the ledger's packed snapshots; ``DlaReport.basis``
-publishes it in the caller's vector types on first access.
+kept once, as the ledger's reduced rows read largest pivot first;
+``DlaReport.basis`` publishes them in the caller's types on first access.
 """
 
 from __future__ import annotations
@@ -129,6 +129,9 @@ class LinearLedger:
         self.entry_count = 0
         self.memory_budget = memory_budget
         self.maintain_rref = maintain_rref
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinearLedger) and self.rows == other.rows
 
     @property
     def rank(self) -> int:
@@ -370,15 +373,15 @@ def ad_cut_type(n: int, v: dict) -> dict:
 class DlaReport:
     """Closure output: dimension, degree, basis and bookkeeping.
 
-    ``basis`` is published on first access from the closure's own packed
-    snapshots: PauliVectors for raw runs, ``{PauliString: int}``
-    orbit-representative dicts for cycle-orbit runs, and
-    ``{(p, q, r): int}`` dicts for complete-graph type coordinates.
-    ``generator_count`` is the number of independent generators actually
-    used (the size of B0), and the center and ideal stages act through
-    their adjoint maps ``v -> [G_j, v]``.  ``ledger`` is the closure's
-    span, in the closure's packed coordinates; its memory budget also
-    bounds the center and ideal ledgers built from this report.
+    ``ledger`` is the closure's span in packed coordinates and the one copy
+    of its basis; ``basis`` publishes its rows, largest pivot first, on
+    first access: PauliVectors for raw runs, ``{PauliString: int}``
+    orbit-representative dicts for cycle-orbit runs, and ``{(p, q, r): int}``
+    dicts for complete-graph type coordinates.  ``generator_count`` is the
+    number of independent generators used (the size of B0); the center and
+    ideal stages act through their adjoint maps ``v -> [G_j, v]`` under the
+    ledger's memory budget.  Reports are equal when their ledgers hold the
+    same rows.
     """
 
     dimension: int
@@ -386,27 +389,24 @@ class DlaReport:
     generator_count: int
     n: int
     coords: str
-    ledger: LinearLedger = field(repr=False, compare=False, default=None)
-    _basis_dicts: list = field(repr=False, default=None)
+    ledger: LinearLedger = field(repr=False, default=None)
     _adjoints: list = field(repr=False, compare=False, default=None)
 
     @cached_property
     def basis(self) -> list:
-        return [_publish(self, d) for d in self._basis_dicts]
+        return [_publish(self, d) for d in _basis_rows(self)]
 
 
 def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport:
     """Close (vector, adjoint map) pairs, ``ad(v) == [vector, v]``."""
     ledger = LinearLedger(memory_budget)
     adjoints = []
-    snaps = []
+    frontier = []
     for gd, ad in generators:
         snap = ledger.insert(gd)
         if snap is not None:
             adjoints.append(ad)
-            snaps.append(snap)
-    frontier = list(snaps)
-    degree = 0
+            frontier.append(snap)
     round_no = 0
     while frontier:
         round_no += 1
@@ -422,18 +422,14 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
                 f"{exc}; gave up in closure round {round_no} "
                 f"(frontier size {len(frontier)})"
             ) from None
-        if new:
-            degree = round_no
-            snaps.extend(new)
         frontier = new
     return DlaReport(
         dimension=ledger.rank,
-        degree=degree,
+        degree=max(round_no - 1, 0),  # every round but the last added
         generator_count=len(adjoints),
         n=n,
         coords=coords,
         ledger=ledger,
-        _basis_dicts=snaps,
         _adjoints=adjoints,
     )
 
@@ -485,10 +481,17 @@ def generate_dla_orbit_compressed(
     return _closure_engine(n, coords, pairs, memory_budget)
 
 
-def _combine_basis(report: DlaReport, combo: dict) -> dict:
+def _basis_rows(report: DlaReport) -> list[dict]:
+    """The closure's basis, and the one place that picks it: the ledger's
+    reduced rows, largest pivot first.  Any basis gives the same ranks;
+    of the orders measured, this one ranks the center and ideal fastest."""
+    return report.ledger.canonical_rows()[::-1]
+
+
+def _combine_basis(rows: list[dict], combo: dict) -> dict:
     acc: dict = {}
     for i, c in combo.items():
-        for k, cc in report._basis_dicts[i].items():
+        for k, cc in rows[i].items():
             _add_term(acc, k, c * cc)
     return acc
 
@@ -501,9 +504,9 @@ def _publish(report: DlaReport, d: dict):
     return dict(d)
 
 
-def _center_map(report: DlaReport):
-    """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis element."""
-    for b in report._basis_dicts:
+def _center_map(report: DlaReport, rows: list[dict]):
+    """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis row."""
+    for b in rows:
         w = {}
         for gi, ad in enumerate(report._adjoints):
             for k, c in ad(b).items():
@@ -531,17 +534,18 @@ def center(report: DlaReport) -> list:
     stacked maps v -> [G_j, v] restricted to the basis span, solved as in
     :func:`nullspace_combos` under the report's memory budget.  Exact.
     """
-    led = _rank_ledger(report, "center", _lifted(_center_map(report)))
+    rows = _basis_rows(report)
+    led = _rank_ledger(report, "center", _lifted(_center_map(report, rows)))
     return [
-        _publish(report, _combine_basis(report, combo))
+        _publish(report, _combine_basis(rows, combo))
         for combo in _marker_combos(led)
     ]
 
 
 def center_dimension(report: DlaReport) -> int:
     """dim of the center via the rank of the stacked adjoint map."""
-    led = _rank_ledger(report, "center", _center_map(report))
-    return report.dimension - led.rank
+    stacked = _center_map(report, _basis_rows(report))
+    return report.dimension - _rank_ledger(report, "center", stacked).rank
 
 
 def ideal_ledger(report: DlaReport) -> LinearLedger:
@@ -552,11 +556,9 @@ def ideal_ledger(report: DlaReport) -> LinearLedger:
     of generators with closure elements.  Each call builds a fresh ledger;
     a caller that needs both the rank and membership tests builds it once.
     """
-    return _rank_ledger(
-        report,
-        "ideal",
-        (ad(b) for ad in report._adjoints for b in report._basis_dicts),
-    )
+    rows = _basis_rows(report)
+    brackets = (ad(b) for ad in report._adjoints for b in rows)
+    return _rank_ledger(report, "ideal", brackets)
 
 
 def commutator_ideal(report: DlaReport) -> list:

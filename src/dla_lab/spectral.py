@@ -182,7 +182,11 @@ def expectation(
     basis spans the center of the DLA.  Same orthogonality handling and
     exactness rules as :func:`purity`.
     """
-    basis = _prepare_basis(center_basis, tolerance)
+    return _pairing(rho, obs, _prepare_basis(center_basis, tolerance))
+
+
+def _pairing(rho: HermitianVector, obs: HermitianVector, basis) -> object:
+    """``sum_j <B_j, rho> <B_j, obs> / <B_j, B_j>`` over a prepared basis."""
     contributions = []
     for b in basis:
         num = hs_inner(b, rho)
@@ -267,28 +271,21 @@ def _closed_forms(n: int):
 def _recomputed_forms(n: int, tolerance: float):
     rho = plus_state(n)
     obs = cut_observable(Graph.cycle(n))
-    whole_basis = [b.expand() for b in cycle_basis(n)]
-    center_basis = [c.expand() for c in cycle_center(n)]
-    whole = PurityPair(
-        float(purity(rho, whole_basis, tolerance)),
-        float(purity(obs, whole_basis, tolerance)),
-    )
-    center = PurityPair(
-        float(purity(rho, center_basis, tolerance)),
-        float(purity(obs, center_basis, tolerance)),
-    )
-    comps = []
-    for triple in su2_basis(n):
-        tb = [triple.x.expand(), triple.y.expand(), triple.z.expand()]
-        comps.append(
-            PurityPair(
-                float(purity(rho, tb, tolerance)),
-                float(purity(obs, tb, tolerance)),
-            )
+    # each basis is prepared (checked for orthogonality) once
+    def prepared(elements) -> list[PauliVector]:
+        return _prepare_basis([e.expand() for e in elements], tolerance)
+
+    def purities(basis) -> PurityPair:
+        return PurityPair(
+            float(_pairing(rho, rho, basis)), float(_pairing(obs, obs, basis))
         )
-    expect = float(expectation(rho, obs, center_basis, tolerance))
+
+    center_basis = prepared(cycle_center(n))
+    comps = tuple(purities(prepared((t.x, t.y, t.z))) for t in su2_basis(n))
+    expect = float(_pairing(rho, obs, center_basis))
     var = variance_from_components(comps)
-    return whole, center, tuple(comps), expect, var
+    whole = purities(prepared(cycle_basis(n)))
+    return whole, purities(center_basis), comps, expect, var
 
 
 def cycle_spectral_report(n: int, tolerance: float = 1e-9) -> SpectralReport:

@@ -162,7 +162,7 @@ def test_closure_abelian_degree_zero():
 
 def test_basis_is_published_on_first_access():
     """``basis`` is no constructor field; the first read publishes the
-    closure's snapshots once, spanning the closure's ledger."""
+    closure ledger's rows once, spanning the closure's ledger."""
     assert "basis" not in {f.name for f in fields(DlaReport)}
     report = generate_dla(maxcut_generators(Graph.cycle(4)))
     assert "basis" not in vars(report)
@@ -255,11 +255,34 @@ def test_dependent_generator_is_dropped_from_every_stage():
 
 def test_center_is_bounded_by_the_memory_budget():
     # the closure fits in 200 entries (132); the center's null-space
-    # ledger needs 287 and must give up, naming its stage
+    # ledger needs 298 and must give up, naming its stage
     report = generate_dla(maxcut_generators(Graph.cycle(6)), memory_budget=200)
     assert report.ledger.entry_count == 132
     with pytest.raises(ResourceBudgetError, match="center stage"):
         center(report)
+
+
+def test_center_and_ideal_fit_where_the_closure_fits():
+    """The center and ideal ledgers rank the closure's rows largest pivot
+    first.  On g2-n5 (dimension 295) that center ledger peaks at 5,485
+    entries; over the vectors as the closure first inserted them, before
+    back-substitution reduced them, it needs 22,353, over this budget."""
+    g2 = Graph(5, [(0, 2), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
+    report = generate_dla(maxcut_generators(g2), memory_budget=10_000)
+    assert report.dimension == 295
+    assert center_dimension(report) == 1
+    assert ideal_dimension(report) == 294
+
+
+def test_reports_compare_by_span_rows():
+    """Two runs of one graph give equal reports; a relabelled ring of the
+    same dimension spans other strings and compares unequal."""
+    ring = maxcut_generators(Graph.cycle(5))
+    assert generate_dla(ring) == generate_dla(ring)
+    relabelled = Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)])
+    other = generate_dla(maxcut_generators(relabelled))
+    assert other.dimension == generate_dla(ring).dimension == 14
+    assert generate_dla(ring) != other
 
 
 def test_center_dimension_complete_parity():

@@ -21,6 +21,7 @@ from dla_lab import (
     purity,
     variance_from_components,
 )
+from dla_lab import spectral
 
 
 def test_plus_state_structure():
@@ -165,6 +166,21 @@ def test_cycle_report_cross_checks_run_at_small_sizes(n):
     assert r.cross_residual is not None
     assert r.cross_residual < 1e-9 * 2**n
     assert len(r.purity_per_component) == n - 1
+
+
+def test_cycle_report_checks_each_basis_once(monkeypatch):
+    """The recompute prepares each basis once: the whole algebra, the
+    center pair and the n - 1 su(2) triples, 7 orthogonality checks at
+    n = 6, shared by the state, the observable and the expectation."""
+    calls = []
+    checked = spectral._pairwise_orthogonal
+    monkeypatch.setattr(
+        spectral,
+        "_pairwise_orthogonal",
+        lambda basis, tol: calls.append(len(basis)) or checked(basis, tol),
+    )
+    cycle_spectral_report(6)
+    assert len(calls) == 7
 
 
 def test_cycle_report_closed_form_only_beyond_recompute_cap():
