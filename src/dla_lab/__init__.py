@@ -12,8 +12,8 @@ The layers, bottom up:
     Bit-packed Pauli strings, the shared sparse-vector core, the Pauli
     bracket kernel, inner products.
 ``symmetry``
-    Qubit-permutation groups, the one packed-key orbit map built from any
-    group, Burnside counts, orbit compression.
+    Qubit-permutation groups, a graph's group, the one packed-key orbit
+    map built from any group, Burnside counts, orbit compression.
 ``closure``
     The closure engine over an exact sparse integer ledger, in raw Pauli
     or symmetry-orbit coordinates; center and commutator-ideal ranks.

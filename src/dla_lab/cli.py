@@ -67,7 +67,7 @@ from .cycle_forms import (
     orbit_bracket,
     su2_relation_residuals,
 )
-from .graphs import dimension_bounds, kn_formulas, maxcut_generators, parse_graph_spec
+from .graphs import Graph, dimension_bounds, kn_formulas, maxcut_generators, parse_graph_spec
 from .paulis import commutator
 from .spectral import RECOMPUTE_VERTEX_CAP, cycle_spectral_report
 
@@ -178,7 +178,7 @@ def _basis_parity_ok(report: DlaReport) -> bool:
 def _compute_row(graph, orbit_compress: bool, memory_budget: int) -> dict:
     start = time.perf_counter()
     if orbit_compress:
-        report = generate_dla_orbit_compressed(graph.family, graph.n, memory_budget)
+        report = generate_dla_orbit_compressed(graph, memory_budget)
     else:
         report = generate_dla(maxcut_generators(graph), memory_budget)
     cdim = center_dimension(report)
@@ -240,7 +240,7 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
     tol = args.tolerance
     checks = _CheckList()
 
-    report = generate_dla_orbit_compressed("cycle", n, args.memory_budget)
+    report = generate_dla_orbit_compressed(Graph.cycle(n), args.memory_budget)
     checks.add(
         "dimension-3n-minus-1",
         report.dimension == 3 * n - 1,
@@ -333,7 +333,7 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
         raise UsageError("n >= 2 required for the complete family")
     checks = _CheckList()
 
-    report = generate_dla_orbit_compressed("complete", n, args.memory_budget)
+    report = generate_dla_orbit_compressed(Graph.complete(n), args.memory_budget)
     forms = kn_formulas(n)
     checks.add(
         "dimension-formula",
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--orbit-compress",
         action="store_true",
-        help="run in symmetry-orbit coordinates (cycle/complete only)",
+        help="run in orbit coordinates of the graph's symmetry group",
     )
 
     for name, blurb in (

@@ -23,9 +23,10 @@ The same engine runs in three coordinate systems:
 
 * raw Pauli coordinates (keys are packed ``(x_mask << n) | z_mask`` ints),
   bracketed by the package's one Pauli kernel, ``paulis.pauli_bracket``;
-* group-orbit coordinates for cycle graphs (keys are the packed canonical
-  representatives of orbits under ``PermGroup.dihedral(n)``, from the one
-  orbit map ``symmetry.PackedOrbits``), bracketed by the same kernel on a
+* group-orbit coordinates for any graph but K_n (keys are the packed
+  canonical representatives of orbits under the graph's group,
+  ``symmetry.graph_group``, from the one orbit map
+  ``symmetry.PackedOrbits``), bracketed by the same kernel on a
   representative against a whole orbit, then folded back to orbits;
 * type coordinates ``(p, q, r)`` for complete graphs, via the two
   generators' closed-form adjoint maps.
@@ -54,7 +55,7 @@ from .paulis import (
     pauli_vector_to_dict,
     unpack_pauli,
 )
-from .symmetry import PackedOrbits, PermGroup
+from .symmetry import PackedOrbits, graph_group
 
 DEFAULT_MEMORY_BUDGET = 10**8
 
@@ -376,7 +377,7 @@ class DlaReport:
     ``ledger`` is the closure's span in packed coordinates and the one copy
     of its basis; ``basis`` publishes its rows, largest pivot first, on
     first access: PauliVectors for raw runs, ``{PauliString: int}``
-    orbit-representative dicts for cycle-orbit runs, and ``{(p, q, r): int}``
+    orbit-representative dicts for group-orbit runs, and ``{(p, q, r): int}``
     dicts for complete-graph type coordinates.  ``generator_count`` is the
     number of independent generators used (the size of B0); the center and
     ideal stages act through their adjoint maps ``v -> [G_j, v]`` under the
@@ -451,34 +452,29 @@ def generate_dla(
 
 
 def generate_dla_orbit_compressed(
-    family: str,
-    n: int,
-    memory_budget: int | None = DEFAULT_MEMORY_BUDGET,
+    graph, memory_budget: int | None = DEFAULT_MEMORY_BUDGET
 ) -> DlaReport:
-    """Closure in symmetry-orbit coordinates for the two named families."""
-    if family == "cycle":
-        if n < 3:
-            raise ValueError("ring family needs n >= 3")
-        orbits = PackedOrbits(PermGroup.dihedral(n))
-        bracket = _group_orbit_bracket(n, orbits)
-        # X on qubit 0, then Z on qubits 0 and 1
-        gen_dicts = [{orbits.orbit(key)[0]: 1} for key in (1 << n, 0b11)]
-        pairs = [(d, partial(bracket, d)) for d in gen_dicts]
-        coords = "cycle-orbit"
-    elif family == "complete":
-        if n < 2:
-            raise ValueError("complete family needs n >= 2")
+    """A graph's closure in orbit coordinates of ``symmetry.graph_group``, K_n's
+    in type coordinates (S_n cannot be enumerated).  The generators have one
+    coordinate per vertex orbit and per edge orbit, each with coefficient 1."""
+    if not graph.edges:
+        raise ValueError("graph has no edges; the cut Hamiltonian vanishes")
+    n = graph.n
+    group = graph_group(graph)  # checks a family label against the edges
+    if graph.family == "complete":
         pairs = [
             ({(1, 0, 0): 1}, partial(ad_field_type, n)),
             ({(0, 0, 2): 1}, partial(ad_cut_type, n)),
         ]
-        coords = "complete-orbit"
-    else:
-        raise ValueError(
-            "orbit-compressed closure supports the 'cycle' and 'complete' "
-            "families only"
-        )
-    return _closure_engine(n, coords, pairs, memory_budget)
+        return _closure_engine(n, "complete-orbit", pairs, memory_budget)
+    orbits = PackedOrbits(group)
+    bracket = _group_orbit_bracket(n, orbits)
+    x_keys = [1 << (n + j) for j in range(n)]
+    zz_keys = [(1 << j) | (1 << k) for j, k in graph.edges]
+    gens = [dict.fromkeys(sorted({orbits.orbit(k)[0] for k in ks}), 1)
+            for ks in (x_keys, zz_keys)]
+    pairs = [(d, partial(bracket, d)) for d in gens]
+    return _closure_engine(n, "group-orbit", pairs, memory_budget)
 
 
 def _basis_rows(report: DlaReport) -> list[dict]:
@@ -499,7 +495,7 @@ def _combine_basis(rows: list[dict], combo: dict) -> dict:
 def _publish(report: DlaReport, d: dict):
     if report.coords == "pauli":
         return dict_to_pauli_vector(report.n, d)
-    if report.coords == "cycle-orbit":
+    if report.coords == "group-orbit":
         return {unpack_pauli(report.n, k): c for k, c in d.items()}
     return dict(d)
 

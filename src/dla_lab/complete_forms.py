@@ -31,6 +31,7 @@ from .closure import (
     generate_dla_orbit_compressed,
     ideal_ledger,
 )
+from .graphs import Graph
 from .paulis import PauliString, PauliVector, SparseVector
 
 EXPANSION_VERTEX_CAP = 8
@@ -227,7 +228,7 @@ def fact_suite(
     is the report's commutator-ideal ledger, built here when not given.
     """
     if report is None:
-        report = generate_dla_orbit_compressed("complete", n)
+        report = generate_dla_orbit_compressed(Graph.complete(n))
     span = report.ledger
     if ideal is None:
         ideal = ideal_ledger(report)

@@ -7,10 +7,7 @@ from math import comb
 from pathlib import Path
 
 from .paulis import PauliString, PauliVector, anticommute
-from .symmetry import PermGroup, graph_automorphisms, orbit_count
-
-# dimension_bounds searches automorphisms by brute force up to this many vertices
-AUT_VERTEX_CAP = 10
+from .symmetry import GroupTooLarge, graph_group, orbit_count
 
 
 @dataclass(frozen=True)
@@ -145,27 +142,25 @@ def maxcut_generators(graph: Graph) -> list[PauliVector]:
 def dimension_bounds(graph: Graph) -> dict:
     """Cheap upper bounds on the closure dimension.
 
-    aut_bound counts the non-identity Pauli strings up to graph
-    automorphism (Burnside); the closure basis can be chosen invariant, so
-    its dimension never exceeds the number of orbits.  Closed forms are
-    used for the named families; other graphs get a brute-force
-    automorphism search up to ``AUT_VERTEX_CAP`` vertices, and None beyond.
-    center_bound reflects that these two-generator closures never carry
-    more than a two-dimensional center.
+    aut_bound counts the non-identity Pauli strings up to the graph's group
+    (``symmetry.graph_group``, by Burnside); the closure basis can be chosen
+    invariant, so its dimension never exceeds the number of orbits.  K_n
+    uses the closed form, since S_n is not enumerated; aut_bound is None
+    when the automorphism search is over its cap.  center_bound reflects
+    that these two-generator closures never carry more than a
+    two-dimensional center.
     """
     n = graph.n
+    try:
+        group = graph_group(graph)
+    except GroupTooLarge:
+        return {"aut_bound": None, "center_bound": 2}
     if graph.family == "complete":
         # orbits of strings under S_n = Pauli-type counts (p, q, r) with
         # p + q + r <= n: choose 3 separators among n + 3 slots
         aut = comb(n + 3, 3) - 1
-    elif graph.family == "cycle":
-        aut = orbit_count(n, PermGroup.dihedral(n)) - 1
-    elif graph.family == "path":
-        aut = orbit_count(n, PermGroup.reversal(n)) - 1
-    elif n <= AUT_VERTEX_CAP:
-        aut = orbit_count(n, graph_automorphisms(graph, AUT_VERTEX_CAP)) - 1
     else:
-        aut = None
+        aut = orbit_count(n, group) - 1
     return {"aut_bound": aut, "center_bound": 2}
 
 

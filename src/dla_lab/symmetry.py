@@ -9,7 +9,8 @@ hence preserves the letter counts (the type) of the string.
 ``PackedOrbits`` is the one orbit map: built from any ``PermGroup``, it
 canonicalises packed ``(x_mask << n) | z_mask`` keys.  The orbit-compressed
 closure, ``orbit_strings`` and ``compress``/``decompress`` all go through it,
-and ``apply_perm`` shares its bit-permuting routine.
+and ``apply_perm`` shares its bit-permuting routine.  ``graph_group`` alone
+picks the group of a graph.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .paulis import PauliString, PauliVector, pack_pauli, unpack_pauli
 
 # Explicit group enumeration is refused beyond this many elements (10!).
 ENUMERATION_CAP = 3_628_800
+
+# The brute-force automorphism search is refused beyond this many vertices.
+AUT_VERTEX_CAP = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,7 +286,7 @@ def decompress(
     return PauliVector(n, entries)
 
 
-def graph_automorphisms(graph, cap: int = 10) -> PermGroup:
+def graph_automorphisms(graph, cap: int = AUT_VERTEX_CAP) -> PermGroup:
     """Automorphism group of a graph, by backtracking over vertex maps.
 
     `graph` needs attributes ``n`` and ``edges`` (set of sorted pairs).
@@ -323,3 +327,19 @@ def graph_automorphisms(graph, cap: int = 10) -> PermGroup:
 
     extend(0)
     return PermGroup.from_elements(n, auts)
+
+
+def graph_group(graph) -> PermGroup:
+    """The group of a graph (``n``, ``edges``, ``family``): its family's, if
+    that maps the edges onto themselves (ValueError if not), else the
+    automorphisms found under ``AUT_VERTEX_CAP``.  S_n is never enumerated."""
+    named = {"cycle": PermGroup.dihedral, "path": PermGroup.reversal,
+             "complete": PermGroup.symmetric}.get(graph.family)
+    if named is None:
+        return graph_automorphisms(graph)
+    group = named(graph.n)
+    for g in group.generators:
+        im = g.images
+        if {tuple(sorted((im[j], im[k]))) for j, k in graph.edges} != graph.edges:
+            raise ValueError(f"the edges contradict the {graph.family!r} label")
+    return group

@@ -110,7 +110,7 @@ def test_criterion_01_cycle_dimension_and_degree():
         assert report.dimension == 3 * n - 1
         assert report.degree == 2 * (n - 1)
     for n in range(3, 13):
-        report = generate_dla_orbit_compressed("cycle", n)
+        report = generate_dla_orbit_compressed(Graph.cycle(n))
         assert report.dimension == 3 * n - 1
         assert report.degree == 2 * (n - 1)
     assert time.perf_counter() - start < 120
@@ -134,7 +134,7 @@ def test_criterion_03_complete_graph_dimension_formulas():
     center parity rule, and the ideal split, for 3 <= n <= 40."""
     start = time.perf_counter()
     for n in range(3, 41):
-        report = generate_dla_orbit_compressed("complete", n)
+        report = generate_dla_orbit_compressed(Graph.complete(n))
         forms = kn_formulas(n)
         assert report.dimension == forms["dim"]
         assert center_dimension(report) == forms["center_dim"]
@@ -145,8 +145,8 @@ def test_criterion_03_complete_graph_dimension_formulas():
 def test_criterion_04_triangle_is_one_algebra_in_two_coordinates():
     """K_3 and C_3 are the same graph; the two orbit-compressed closures
     expand to identical row spaces (exact canonical form equality)."""
-    complete = generate_dla_orbit_compressed("complete", 3)
-    cyclic = generate_dla_orbit_compressed("cycle", 3)
+    complete = generate_dla_orbit_compressed(Graph.complete(3))
+    cyclic = generate_dla_orbit_compressed(Graph.cycle(3))
     dihedral = PermGroup.dihedral(3)
     lk = span_ledger(
         pauli_vector_to_dict(SymOrbitSum(3, d).expand())

@@ -52,12 +52,27 @@ def test_compute_graph_from_file(capsys, tmp_path):
     assert json.loads(out)["dim"] == 8
 
 
-def test_orbit_compression_needs_named_family(capsys):
-    code, _, err = run(
-        capsys, "compute", "--graph", "path:4", "--orbit-compress"
+def test_orbit_compression_over_the_cap_is_a_usage_error(capsys, tmp_path):
+    spec = tmp_path / "path11.graph"
+    spec.write_text("11\n" + "".join(f"{j} {j + 1}\n" for j in range(10)))
+    code, out, err = run(
+        capsys, "compute", "--graph", f"file:{spec}", "--orbit-compress"
     )
     assert code == 2
-    assert "orbit" in err
+    assert out == ""
+    assert "capped at n=10" in err
+
+
+def test_orbit_compressed_path_payload_matches_raw(capsys):
+    payloads = []
+    for extra in ((), ("--orbit-compress",)):
+        code, out, _ = run(capsys, "compute", "--graph", "path:6", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        del payload["runtime_ms"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["dim"] == 36
 
 
 def _raw_closure(*labels):

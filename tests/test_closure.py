@@ -5,8 +5,10 @@ K_4 = 15) were frozen from the dense-matrix oracle in
 tests/oracles/dense_oracle.py, which shares no code with the package.
 """
 
+import json
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from dla_lab.closure import (
     span_ledger,
 )
 from dla_lab.graphs import Graph, maxcut_generators
-from dla_lab.symmetry import PermGroup, decompress
+from dla_lab.symmetry import GroupTooLarge, decompress, graph_group
 from dla_lab.paulis import (
     PauliString,
     PauliVector,
@@ -190,9 +192,9 @@ def test_closure_budget_error_names_round():
 
 def test_orbit_compressed_cycle_dimensions():
     for n in (3, 6, 11, 30):
-        report = generate_dla_orbit_compressed("cycle", n)
+        report = generate_dla_orbit_compressed(Graph.cycle(n))
         assert report.dimension == 3 * n - 1
-        assert report.coords == "cycle-orbit"
+        assert report.coords == "group-orbit"
         # representatives are Pauli strings mapped to integer weights
         rep, coeff = next(iter(report.basis[0].items()))
         assert isinstance(rep, PauliString) and coeff == 1
@@ -200,28 +202,57 @@ def test_orbit_compressed_cycle_dimensions():
 
 def test_orbit_compressed_complete_matches_raw():
     raw = generate_dla(maxcut_generators(Graph.complete(4)))
-    packed = generate_dla_orbit_compressed("complete", 4)
+    packed = generate_dla_orbit_compressed(Graph.complete(4))
     assert packed.dimension == raw.dimension == 15
     assert packed.coords == "complete-orbit"
 
 
+def _assert_orbit_closure_matches_raw(graph):
+    """The decompressed orbit closure has the raw closure's canonical rows
+    and degree."""
+    raw = generate_dla(maxcut_generators(graph))
+    packed = generate_dla_orbit_compressed(graph)
+    group = graph_group(graph)
+    expanded = span_ledger(
+        pauli_vector_to_dict(decompress(d, group, graph.n)) for d in packed.basis
+    )
+    assert packed.dimension == raw.dimension
+    assert packed.degree == raw.degree
+    assert expanded.canonical_rows() == raw.ledger.canonical_rows()
+    return packed
+
+
 def test_cycle_orbit_closure_matches_raw_closure():
-    """The decompressed dihedral-orbit closure and the raw closure have
-    identical canonical rows, for rings of 3 to 8 qubits."""
+    """Dihedral orbits, for rings of 3 to 8 qubits."""
     for n in range(3, 9):
-        raw = generate_dla(maxcut_generators(Graph.cycle(n)))
-        packed = generate_dla_orbit_compressed("cycle", n)
-        group = PermGroup.dihedral(n)
-        expanded = span_ledger(
-            pauli_vector_to_dict(decompress(d, group, n)) for d in packed.basis
-        )
-        assert packed.dimension == raw.dimension == 3 * n - 1
-        assert expanded.canonical_rows() == raw.ledger.canonical_rows()
+        packed = _assert_orbit_closure_matches_raw(Graph.cycle(n))
+        assert packed.dimension == 3 * n - 1
 
 
-def test_orbit_compressed_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        generate_dla_orbit_compressed("wheel", 5)
+def _corpus_graphs():
+    """The seeded graphs of the benchmark's raw-graphs workload."""
+    corpus = json.loads((Path(__file__).parent.parent / "bench" / "graphs.json").read_text())
+    return [
+        pytest.param(Graph(g["n"], map(tuple, g["edges"])), id=g["name"])
+        for g in corpus["graphs"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [pytest.param(Graph.path(n), id=f"path-{n}") for n in range(2, 9)] + _corpus_graphs(),
+)
+def test_group_orbit_closure_matches_raw_closure(graph):
+    """Reversal orbits for paths, searched automorphisms for the benchmark's
+    seeded graphs."""
+    _assert_orbit_closure_matches_raw(graph)
+
+
+def test_orbit_compressed_rejects_edgeless_and_over_cap_graphs():
+    with pytest.raises(ValueError, match="no edges"):
+        generate_dla_orbit_compressed(Graph(4, ()))
+    with pytest.raises(GroupTooLarge):
+        generate_dla_orbit_compressed(Graph(11, {(j, j + 1) for j in range(10)}))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +317,8 @@ def test_reports_compare_by_span_rows():
 
 
 def test_center_dimension_complete_parity():
-    assert center_dimension(generate_dla_orbit_compressed("complete", 4)) == 1
-    assert center_dimension(generate_dla_orbit_compressed("complete", 5)) == 2
+    assert center_dimension(generate_dla_orbit_compressed(Graph.complete(4))) == 1
+    assert center_dimension(generate_dla_orbit_compressed(Graph.complete(5))) == 2
 
 
 def test_commutator_ideal_complements_center():

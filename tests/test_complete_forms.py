@@ -6,6 +6,7 @@ import pytest
 
 from dla_lab import (
     DECOMPOSITION_CONJECTURE,
+    Graph,
     ad_cut,
     ad_field,
     commutator,
@@ -91,7 +92,7 @@ def test_explicit_basis_length_matches_formula(n):
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_explicit_basis_spans_the_closure(n):
-    report = generate_dla_orbit_compressed("complete", n)
+    report = generate_dla_orbit_compressed(Graph.complete(n))
     ours = span_ledger(v.to_dict() for v in kn_basis(n))
     assert ours.rank == report.dimension
     assert ours.canonical_rows() == report.ledger.canonical_rows()
@@ -108,7 +109,7 @@ def test_fact_suite_all_hold(n):
 
 
 def test_fact_suite_reuses_report():
-    report = generate_dla_orbit_compressed("complete", 6)
+    report = generate_dla_orbit_compressed(Graph.complete(6))
     assert all(fact_suite(6, report).values())
 
 

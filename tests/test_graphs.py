@@ -14,6 +14,7 @@ from dla_lab.graphs import (
     maxcut_generators,
     parse_graph_spec,
 )
+from dla_lab.closure import generate_dla, generate_dla_orbit_compressed
 from dla_lab.paulis import PauliString, pauli_type
 
 
@@ -95,6 +96,26 @@ def test_dimension_bounds_generic_graph():
     star_plus = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2)))
     b = dimension_bounds(star_plus)
     assert b["aut_bound"] is not None and b["center_bound"] == 2
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        # a 5-ring plus the chord 0-2: raw dimension 296
+        Graph(5, {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)}, "cycle"),
+        Graph(4, {(0, 1), (2, 3)}, "complete"),
+    ],
+    ids=["chorded-ring-as-cycle", "two-edges-as-complete"],
+)
+def test_family_label_the_edges_contradict_is_rejected(graph):
+    with pytest.raises(ValueError, match="contradict"):
+        dimension_bounds(graph)
+    with pytest.raises(ValueError, match="contradict"):
+        generate_dla_orbit_compressed(graph)
+    unlabelled = Graph(graph.n, graph.edges)
+    raw = generate_dla(maxcut_generators(unlabelled))
+    assert raw.dimension <= dimension_bounds(unlabelled)["aut_bound"]
+    assert generate_dla_orbit_compressed(unlabelled).dimension == raw.dimension
 
 
 def test_kn_formulas_parity_split():

@@ -1,4 +1,4 @@
-"""Property tests of the raw closure over small connected graphs.
+"""Property tests of the raw and orbit closures over small connected graphs.
 
 Hypothesis draws connected graphs on at most five vertices: a random
 spanning tree plus random extra edges.  Runs are derandomized and the
@@ -18,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dla_lab.cli import main, render_json
-from dla_lab.closure import center_dimension, generate_dla, ideal_dimension
+from dla_lab.closure import (
+    center_dimension,
+    generate_dla,
+    generate_dla_orbit_compressed,
+    ideal_dimension,
+)
 from dla_lab.graphs import Graph, dimension_bounds, maxcut_generators
 
 _spec = importlib.util.spec_from_file_location(
@@ -48,6 +53,16 @@ def test_center_and_ideal_split_within_the_bounds(graph):
     assert cdim + ideal_dimension(report) == report.dimension
     assert cdim <= 2
     assert report.dimension <= dimension_bounds(graph)["aut_bound"]
+
+
+@settings(BOUNDED, max_examples=25)
+@given(connected_graphs())
+def test_orbit_closure_agrees_with_raw_closure(graph):
+    raw = generate_dla(maxcut_generators(graph))
+    packed = generate_dla_orbit_compressed(graph)
+    assert (packed.dimension, packed.degree) == (raw.dimension, raw.degree)
+    assert center_dimension(packed) == center_dimension(raw)
+    assert ideal_dimension(packed) == ideal_dimension(raw)
 
 
 @settings(BOUNDED, max_examples=25)

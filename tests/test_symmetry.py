@@ -10,6 +10,7 @@ from dla_lab.graphs import Graph
 from dla_lab.paulis import PauliString, PauliVector
 from dla_lab.paulis import pack_pauli
 from dla_lab.symmetry import (
+    AUT_VERTEX_CAP,
     GroupTooLarge,
     PackedOrbits,
     PermGroup,
@@ -19,6 +20,7 @@ from dla_lab.symmetry import (
     compress,
     decompress,
     graph_automorphisms,
+    graph_group,
     orbit_count,
     orbit_strings,
     orbit_sum,
@@ -143,3 +145,13 @@ def test_graph_automorphisms_cycle():
 def test_automorphism_search_cap():
     with pytest.raises(GroupTooLarge):
         graph_automorphisms(Graph.path(12), cap=10)
+
+
+def test_graph_group_names_a_family_group_or_searches():
+    assert graph_group(Graph.cycle(40)).order() == 80
+    assert graph_group(Graph.path(40)).order() == 2
+    assert graph_group(Graph.complete(40)).generators  # S_40, never enumerated
+    star = Graph(4, {(0, 1), (0, 2), (0, 3)})
+    assert graph_group(star).order() == 6
+    with pytest.raises(GroupTooLarge, match=f"n={AUT_VERTEX_CAP}"):
+        graph_group(Graph(AUT_VERTEX_CAP + 1, {(0, 1)}))
