@@ -54,7 +54,6 @@ from .complete_forms import (
     sym_term,
 )
 from .cycle_forms import (
-    CycleOrbit,
     CycleOrbitSum,
     ab_power,
     ab_power_expansion_coeffs,
@@ -102,7 +101,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_MEMORY_BUDGET",
     "DECOMPOSITION_CONJECTURE",
-    "CycleOrbit",
     "CycleOrbitSum",
     "DlaReport",
     "Graph",

@@ -509,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
             "computations, closed-form verification, and loss statistics."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each subcommand takes only the options its cmd_* reads
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--memory-budget",
         type=_positive_int,
         default=DEFAULT_MEMORY_BUDGET,
@@ -518,14 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort once a closure, center or ideal ledger holds this many "
         "entries (default %(default)s)",
     )
-    common.add_argument(
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument(
         "--tolerance",
         type=_positive_float,
         default=DEFAULT_TOLERANCE,
         metavar="EPS",
         help="numeric comparison tolerance (default %(default)s)",
     )
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--output",
         choices=("json", "csv", "text"),
         default="json",
@@ -535,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "compute",
-        parents=[common],
+        parents=[budget, output],
         help="closure dimensions and bounds for one graph",
     )
     p.add_argument(
@@ -553,12 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-cycle", "verify every cycle-family closed form at size n"),
         ("verify-complete", "verify every complete-family closed form at size n"),
     ):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+        p = sub.add_parser(name, parents=[budget, tolerance, output], help=blurb)
         p.add_argument("--n", type=int, required=True, help="number of vertices")
 
     p = sub.add_parser(
         "variance",
-        parents=[common],
+        parents=[tolerance, output],
         help="loss expectation/variance and component purities",
     )
     p.add_argument("--family", required=True, help="graph family (cycle)")
@@ -566,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bounds",
-        parents=[common],
+        parents=[output],
         help="symmetry dimension bounds without running the closure",
     )
     p.add_argument(
@@ -577,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[common],
+        parents=[budget, output],
         help="orbit-compressed compute over a range of sizes",
     )
     p.add_argument("--family", required=True, help="cycle or complete")

@@ -19,10 +19,12 @@ structure-constant table behind ``orbit_bracket`` apply these
 reductions, so stored sums only ever hold canonical offsets.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
-(:class:`~dla_lab.paulis.SparseVector`) keyed by canonical orbits.
-Coefficients are duck-typed: ints and Fractions for structural work,
-floats or complex for the trigonometric bases.  Builders grow their sums
-in place with ``accumulate``.
+(:class:`~dla_lab.paulis.SparseVector`) keyed by ``(kind index, offset)``
+int tuples, the index taken in the order X, XN1, ZXZ, YXY, YXZ (X and XN1
+carry offset 0), so ``terms()`` is the sorted item list.  ``orbit_term``
+and ``coeff`` take kind names.  Coefficients are duck-typed: ints and
+Fractions for structural work, floats or complex for the trigonometric
+bases.  Builders grow their sums in place with ``accumulate``.
 """
 
 from __future__ import annotations
@@ -38,35 +40,11 @@ _KINDS = ("X", "XN1", "ZXZ", "YXY", "YXZ")
 _KIND_INDEX = {k: i for i, k in enumerate(_KINDS)}
 
 
-@dataclass(frozen=True)
-class CycleOrbit:
-    """One translation-orbit family at a canonical offset."""
-
-    kind: str
-    offset: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown orbit kind {self.kind!r}")
-        if self.kind in ("X", "XN1") and self.offset != 0:
-            raise ValueError(f"{self.kind} carries no offset")
-        if self.kind not in ("X", "XN1") and self.offset < 0:
-            raise ValueError("stored offsets must be canonical (>= 0)")
-
-    def key(self) -> tuple:
-        return (_KIND_INDEX[self.kind], self.offset)
-
-    def label(self) -> str:
-        if self.kind in ("X", "XN1"):
-            return self.kind
-        return f"{self.kind}({self.offset})"
-
-
 def _fold(n: int, kind: str, offset: int):
     """Reduce (kind, offset) to the canonical vocabulary.
 
-    Returns (sign, CycleOrbit) or None when the term vanishes.  kind must
-    be one of ZXZ / YXY / YXZ; X and XN1 are already canonical.
+    Returns (sign, key) or None when the term vanishes.  kind must be one
+    of ZXZ / YXY / YXZ; X and XN1 are already canonical.
     """
     k = offset % (2 * n)
     sign = 1
@@ -79,12 +57,12 @@ def _fold(n: int, kind: str, offset: int):
         if k == -1:
             if kind == "YXZ":
                 return None
-            return (-sign, CycleOrbit("X"))
+            return (-sign, (0, 0))  # X
     if k == n - 1:
         if kind == "YXZ":
             return None
-        return (sign, CycleOrbit("XN1"))
-    return (sign, CycleOrbit(kind, k))
+        return (sign, (1, 0))  # XN1
+    return (sign, (_KIND_INDEX[kind], k))
 
 
 class CycleOrbitSum(SparseVector):
@@ -97,24 +75,31 @@ class CycleOrbitSum(SparseVector):
             raise ValueError("ring sums need n >= 3")
         super().__init__(n, coeffs)
 
-    def _check_key(self, orbit: CycleOrbit) -> None:
-        if orbit.kind not in ("X", "XN1") and orbit.offset > self.n - 2:
-            raise ValueError(f"{orbit.label()} is not canonical for n={self.n}")
+    def _check_key(self, key: tuple[int, int]) -> None:
+        i, offset = key
+        if i not in range(len(_KINDS)):
+            raise ValueError(f"unknown orbit kind index {i!r}")
+        if i < 2:
+            if offset != 0:
+                raise ValueError(f"{_KINDS[i]} carries no offset")
+        elif offset not in range(self.n - 1):
+            raise ValueError(f"{self._label(key)} is not canonical for n={self.n}")
 
-    def _label(self, orbit: CycleOrbit) -> str:
-        return orbit.label()
+    def _label(self, key: tuple[int, int]) -> str:
+        i, offset = key
+        return _KINDS[i] if i < 2 else f"{_KINDS[i]}({offset})"
 
     def terms(self) -> list:
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].key())
+        return sorted(self._coeffs.items())
 
     def coeff(self, kind: str, offset: int = 0):
-        return self._coeffs.get(CycleOrbit(kind, offset), 0)
+        return self._coeffs.get((_KIND_INDEX[kind], offset), 0)
 
     def expand(self) -> PauliVector:
         """Expansion into raw Pauli strings, one unit per orbit member."""
         acc = PauliVector(self.n)
-        for orbit, c in self.terms():
-            strings = _orbit_strings(self.n, orbit)
+        for key, c in self.terms():
+            strings = _orbit_strings(self.n, key)
             acc.accumulate(PauliVector(self.n, dict.fromkeys(strings, c)))
         return acc
 
@@ -124,12 +109,12 @@ def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
     if coeff == 0:
         return CycleOrbitSum.zero(n)
     if kind in ("X", "XN1"):
-        return CycleOrbitSum(n, {CycleOrbit(kind): coeff})
+        return CycleOrbitSum(n, {(_KIND_INDEX[kind], 0): coeff})
     folded = _fold(n, kind, offset)
     if folded is None:
         return CycleOrbitSum.zero(n)
-    sign, orbit = folded
-    return CycleOrbitSum(n, {orbit: sign * coeff})
+    sign, key = folded
+    return CycleOrbitSum(n, {key: sign * coeff})
 
 
 def _ring_mask(n: int, start: int, count: int) -> int:
@@ -140,22 +125,23 @@ def _ring_mask(n: int, start: int, count: int) -> int:
     return m
 
 
-def _orbit_strings(n: int, orbit: CycleOrbit) -> list[PauliString]:
+def _orbit_strings(n: int, key: tuple[int, int]) -> list[PauliString]:
     out = []
-    t = orbit.offset
-    if orbit.kind == "X":
+    i, t = key
+    kind = _KINDS[i]
+    if kind == "X":
         for j in range(n):
             out.append(PauliString(n, 1 << j, 0))
-    elif orbit.kind == "XN1":
+    elif kind == "XN1":
         full = (1 << n) - 1
         for j in range(n):
             out.append(PauliString(n, full ^ (1 << j), 0))
-    elif orbit.kind == "ZXZ":
+    elif kind == "ZXZ":
         for j in range(n):
             ends = (1 << j) | (1 << ((j + t + 1) % n))
             mid = _ring_mask(n, j + 1, t)
             out.append(PauliString(n, mid, ends))
-    elif orbit.kind == "YXY":
+    elif kind == "YXY":
         for j in range(n):
             ends = (1 << j) | (1 << ((j + t + 1) % n))
             mid = _ring_mask(n, j + 1, t)
@@ -202,40 +188,34 @@ def _as_endpoint_terms(v: CycleOrbitSum) -> list:
     """Rewrite a sum over {X, XN1} into endpoint families for bracketing."""
     n = v.n
     out = []
-    for orbit, c in v.terms():
-        if orbit.kind == "X":
+    for (i, offset), c in v.terms():
+        if i == 0:  # X
             out.append(("YXY", -1, -c))
-        elif orbit.kind == "XN1":
+        elif i == 1:  # XN1
             out.append(("YXY", n - 1, c))
         else:
-            out.append((orbit.kind, orbit.offset, c))
+            out.append((_KINDS[i], offset, c))
     return out
 
 
 @cache
-def _folded_table(n: int) -> tuple[dict, dict]:
+def _folded_table(n: int) -> dict:
     """The folded structure constants of ring size n, filled on first use.
 
-    The first map takes (kind1, s, kind2, t) to a tuple of
-    (coeff, sign, key) entries, one per non-vanishing term of
-    ``_pair_bracket`` after ``_fold``; the second takes each key
-    (``CycleOrbit.key()``) back to its orbit.
+    Maps (kind1, s, kind2, t) to a tuple of (coeff, sign, key) entries,
+    one per non-vanishing term of ``_pair_bracket`` after ``_fold``.
     """
-    return {}, {}
+    return {}
 
 
 def _folded_pair(n: int, kind1: str, s: int, kind2: str, t: int) -> tuple:
     """Fill and return one entry of ``_folded_table(n)``."""
-    pairs, orbits = _folded_table(n)
     entries = []
     for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
         folded = _fold(n, kind, offset)
         if folded is not None:
-            sign, orbit = folded
-            key = orbit.key()
-            orbits[key] = orbit
-            entries.append((coeff, sign, key))
-    pairs[kind1, s, kind2, t] = entries = tuple(entries)
+            entries.append((coeff, *folded))
+    _folded_table(n)[kind1, s, kind2, t] = entries = tuple(entries)
     return entries
 
 
@@ -250,7 +230,7 @@ def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
     if a.n != b.n:
         raise ValueError("mismatched ring sizes")
     n = a.n
-    pairs, orbits = _folded_table(n)
+    pairs = _folded_table(n)
     rhs = _as_endpoint_terms(b)
     acc = {}
     for kind1, s, c1 in _as_endpoint_terms(a):
@@ -267,7 +247,7 @@ def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
                     acc.pop(key, None)
                 else:
                     acc[key] = total
-    return CycleOrbitSum(n, {orbits[key]: c for key, c in acc.items()})
+    return CycleOrbitSum(n, acc)
 
 
 def field_orbit(n: int) -> CycleOrbitSum:

@@ -9,6 +9,9 @@ from pathlib import Path
 from .paulis import PauliString, PauliVector, anticommute
 from .symmetry import GroupTooLarge, graph_group, orbit_count
 
+# The brute-force centralizer search is refused beyond this many vertices.
+CENTRALIZER_VERTEX_CAP = 6
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -156,9 +159,8 @@ def dimension_bounds(graph: Graph) -> dict:
     except GroupTooLarge:
         return {"aut_bound": None, "center_bound": 2}
     if graph.family == "complete":
-        # orbits of strings under S_n = Pauli-type counts (p, q, r) with
-        # p + q + r <= n: choose 3 separators among n + 3 slots
-        aut = comb(n + 3, 3) - 1
+        # orbits of strings under S_n = Pauli-type counts (p, q, r)
+        aut = kn_formulas(n)["binom_bound"] - 1
     else:
         aut = orbit_count(n, group) - 1
     return {"aut_bound": aut, "center_bound": 2}
@@ -168,6 +170,8 @@ def kn_formulas(n: int) -> dict:
     """Closed-form dimension data for the complete graph on n vertices."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
+    # Pauli-type counts (p, q, r) with p + q + r <= n: choose 3
+    # separators among n + 3 slots
     binom_bound = comb(n + 3, 3)
     yz_bound = sum((2 * s + 1) * (n - 2 * s + 1) for s in range(n // 2 + 1)) - 2
     if n % 2 == 0:
@@ -188,14 +192,16 @@ def kn_formulas(n: int) -> dict:
     }
 
 
-def centralizer_paulis(graph: Graph, vertex_cap: int = 6) -> list[PauliString]:
+def centralizer_paulis(graph: Graph) -> list[PauliString]:
     """All Pauli strings commuting with every X_j and every edge Z_j Z_k.
 
-    Brute force over all 4^n strings, so refuses n > vertex_cap.
+    Brute force over all 4^n strings, so refuses n > CENTRALIZER_VERTEX_CAP.
     """
     n = graph.n
-    if n > vertex_cap:
-        raise ValueError(f"centralizer brute force capped at n={vertex_cap}")
+    if n > CENTRALIZER_VERTEX_CAP:
+        raise ValueError(
+            f"centralizer brute force capped at n={CENTRALIZER_VERTEX_CAP}"
+        )
     checks = [(1 << j, 0) for j in range(n)]
     checks += [(0, (1 << j) | (1 << k)) for j, k in sorted(graph.edges)]
     found = []

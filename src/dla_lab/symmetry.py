@@ -112,11 +112,11 @@ class PermGroup:
     """Permutation group given by generators; elements enumerated lazily.
 
     Enumeration is by breadth-first closure over the generators and is
-    refused above ``cap`` elements so that nobody accidentally asks for
-    all of S_40.
+    refused above ``ENUMERATION_CAP`` elements so that nobody accidentally
+    asks for all of S_40.
     """
 
-    def __init__(self, n: int, generators: list[Permutation], cap: int = ENUMERATION_CAP):
+    def __init__(self, n: int, generators: list[Permutation]):
         self.n = n
         ident = Permutation.identity(n)
         gens = [g for g in generators if g.images != ident.images]
@@ -124,7 +124,6 @@ class PermGroup:
             if g.n != n:
                 raise ValueError("generator size mismatch")
         self.generators = gens
-        self.cap = cap
         self._elements: list[Permutation] | None = None
 
     @classmethod
@@ -174,9 +173,9 @@ class PermGroup:
                     for g in self.generators:
                         h = g.compose(e)
                         if h.images not in seen:
-                            if len(seen) >= self.cap:
+                            if len(seen) >= ENUMERATION_CAP:
                                 raise GroupTooLarge(
-                                    f"group exceeds enumeration cap {self.cap}"
+                                    f"group exceeds enumeration cap {ENUMERATION_CAP}"
                                 )
                             seen.add(h.images)
                             order.append(h)
@@ -286,16 +285,17 @@ def decompress(
     return PauliVector(n, entries)
 
 
-def graph_automorphisms(graph, cap: int = AUT_VERTEX_CAP) -> PermGroup:
+def graph_automorphisms(graph) -> PermGroup:
     """Automorphism group of a graph, by backtracking over vertex maps.
 
     `graph` needs attributes ``n`` and ``edges`` (set of sorted pairs).
     Candidate images are pruned by degree and by adjacency consistency
-    with already-assigned vertices.  Brute force only: refuses n > cap.
+    with already-assigned vertices.  Brute force only: refuses
+    n > AUT_VERTEX_CAP.
     """
     n = graph.n
-    if n > cap:
-        raise GroupTooLarge(f"automorphism search capped at n={cap}")
+    if n > AUT_VERTEX_CAP:
+        raise GroupTooLarge(f"automorphism search capped at n={AUT_VERTEX_CAP}")
     adj = [set() for _ in range(n)]
     for j, k in graph.edges:
         adj[j].add(k)

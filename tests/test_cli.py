@@ -1,12 +1,16 @@
 """Command-line surface: payload shapes, formats, and exit codes."""
 
+import argparse
+import ast
+import inspect
 import json
 import math
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from dla_lab.cli import _basis_parity_ok, main, render_json
+from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.paulis import PauliString, PauliVector
 
@@ -246,3 +250,61 @@ def test_json_rendering_is_stable_and_rational_aware(capsys):
     code, out, _ = run(capsys, "variance", "--family", "cycle", "--n", "6")
     assert code == 0
     assert render_json(json.loads(out)) == out.rstrip("\n")
+
+
+def _subparsers():
+    action = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def test_every_option_is_read_by_its_command():
+    """No dead options: each subcommand's option dests are all read as
+    ``args.<dest>`` by its handler."""
+    subparsers = _subparsers()
+    assert set(subparsers) == set(_DISPATCH)
+    for name, sub in subparsers.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(_DISPATCH[name])))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert dests <= read, (name, dests - read)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--graph", "cycle:4", "--tolerance", "1e-6"),
+        ("sweep", "--family", "cycle", "--min", "3", "--max", "3",
+         "--tolerance", "1e-6"),
+        ("bounds", "--graph", "cycle:4", "--tolerance", "1e-6"),
+        ("bounds", "--graph", "cycle:4", "--memory-budget", "100"),
+        ("variance", "--family", "cycle", "--n", "4", "--memory-budget", "100"),
+    ],
+)
+def test_options_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_kept_options_still_parse(capsys):
+    code, out, _ = run(
+        capsys, "verify-complete", "--n", "4", "--tolerance", "1e-6",
+        "--memory-budget", "100000", "--output", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 1e-6
+    code, out, _ = run(
+        capsys, "variance", "--family", "cycle", "--n", "4",
+        "--tolerance", "1e-6", "--output", "text",
+    )
+    assert code == 0
+    assert "variance" in out

@@ -23,7 +23,6 @@ from dla_lab.cycle_forms import (
     _as_endpoint_terms,
     _folded_table,
     _pair_bracket,
-    CycleOrbit,
     CycleOrbitSum,
     ab_power_coeffs,
     ab_power_trig_coeffs,
@@ -36,21 +35,32 @@ from dla_lab.cycle_forms import (
 
 
 def test_orbit_validation():
-    with pytest.raises(ValueError):
-        CycleOrbit("W")
-    with pytest.raises(ValueError):
-        CycleOrbit("X", 1)  # the single-X family carries no offset
-    with pytest.raises(ValueError):
-        CycleOrbit("ZXZ", -2)
+    # keys are (kind index, offset) in the order X, XN1, ZXZ, YXY, YXZ
+    for key in (
+        (5, 0),  # no sixth kind
+        (-1, 0),
+        (0, 1),  # the single-X family carries no offset
+        (2, -2),
+        (2, 4),  # offset n-1 folds into the all-but-one family
+    ):
+        with pytest.raises(ValueError):
+            CycleOrbitSum(5, {key: 1})
     with pytest.raises(ValueError):
         CycleOrbitSum(2, {})
-    with pytest.raises(ValueError):
-        # offset n-1 is not canonical: it folds into the all-but-one family
-        CycleOrbitSum(5, {CycleOrbit("ZXZ", 4): 1})
     with pytest.raises(ValueError):
         orbit_term(2, "X")
     with pytest.raises(ValueError):
         orbit_term(2, "ZXZ", 0, 0)
+
+
+def test_orbit_sum_repr_pins_kind_order_and_labels():
+    assert repr(cycle_center(5)[0]) == (
+        "CycleOrbitSum(n=5, -1*X + 1*ZXZ(1) + 1*ZXZ(3) + 1*YXY(1) + 1*YXY(3))"
+    )
+    assert repr(cycle_center(4)[0]) == (
+        "CycleOrbitSum(n=4, -1*X + 1*XN1 + 1*ZXZ(1) + 1*YXY(1))"
+    )
+    assert repr(orbit_term(4, "YXZ", 2, 3)) == "CycleOrbitSum(n=4, 3*YXZ(2))"
 
 
 def test_orbit_string_counts():

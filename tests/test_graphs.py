@@ -151,4 +151,4 @@ def test_centralizer_elements_commute_by_construction():
         t = pauli_type(p)
         assert t.n_Y == 0 and t.n_Z == 0  # pure {I,X} strings
     with pytest.raises(ValueError):
-        centralizer_paulis(Graph.cycle(8), vertex_cap=6)
+        centralizer_paulis(Graph.cycle(8))

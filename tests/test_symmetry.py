@@ -144,7 +144,7 @@ def test_graph_automorphisms_cycle():
 
 def test_automorphism_search_cap():
     with pytest.raises(GroupTooLarge):
-        graph_automorphisms(Graph.path(12), cap=10)
+        graph_automorphisms(Graph.path(12))
 
 
 def test_graph_group_names_a_family_group_or_searches():
