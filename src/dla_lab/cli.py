@@ -142,9 +142,7 @@ def _emit(payload: dict, output: str) -> None:
         print(render_json(payload))
     elif output == "text":
         print(_render_text(payload))
-    elif output == "csv":
-        if "rows" not in payload:
-            raise UsageError("csv output is only available for sweep")
+    else:  # csv, which only sweep offers
         print(_render_csv(payload["rows"]))
 
 
@@ -527,12 +525,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EPS",
         help="numeric comparison tolerance (default %(default)s)",
     )
-    output = argparse.ArgumentParser(add_help=False)
+    output, sweep_output = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     output.add_argument(
+        "--output",
+        choices=("json", "text"),
+        default="json",
+        help="report format (default json)",
+    )
+    sweep_output.add_argument(
         "--output",
         choices=("json", "csv", "text"),
         default="json",
-        help="report format; csv applies to sweep only (default json)",
+        help="report format; csv writes one line per size (default json)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -580,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[budget, output],
+        parents=[budget, sweep_output],
         help="orbit-compressed compute over a range of sizes",
     )
     p.add_argument("--family", required=True, help="cycle or complete")

@@ -10,14 +10,14 @@ only against the generators is enough to span the closure: by the Jacobi
 identity, [[A,B],C] lies in the span of brackets of A and B with earlier
 elements, so deeper brackets never escape the generator-driven stream.
 
-All rank decisions are exact.  ``LinearLedger`` keeps a sparse fully
-reduced row-echelon form over the integers (fraction-free elimination,
-rows rescaled to primitive vectors with positive pivot), with a reverse
-index from keys to the rows containing them so newly found pivots are
-eliminated from older rows immediately.  Keeping the form fully reduced
-makes the stored rows canonical for the row space — two spans are equal
-iff their ledgers hold identical rows — and keeps them sparse even when
-the algebra is nearly the whole ambient space.
+All rank decisions are exact.  ``LinearLedger`` keeps a sparse row-echelon
+form over the integers (fraction-free elimination, rows rescaled to
+primitive vectors with positive pivot).  During the closure a row is
+stored once and never rewritten: rank and membership need nothing more.
+After the last round the engine reduces the rows once, largest pivot
+first, into the fully reduced form, which is canonical for the row space
+(two spans are equal iff their reduced rows are) and stays sparse even
+when the algebra is nearly the whole ambient space.
 
 The same engine runs in three coordinate systems:
 
@@ -36,7 +36,7 @@ engine takes (vector, adjoint map) pairs, and the closure rounds, the
 center and the commutator ideal all apply the maps of B0 to basis
 elements.  The center and the ideal are ranked, and the center's basis
 solved for, by ledgers under the closure's memory budget.  The basis is
-kept once, as the ledger's reduced rows read largest pivot first;
+kept once, as the report ledger's reduced rows, largest pivot first;
 ``DlaReport.basis`` publishes them in the caller's types on first access.
 """
 
@@ -108,31 +108,29 @@ def _primitive(row: dict, pivot) -> dict:
 
 
 class LinearLedger:
-    """Sparse exact-integer reduced row echelon form with rank queries.
+    """Sparse exact-integer row echelon form with rank queries.
 
     Rows are pairwise independent; inserting a dependent vector is a no-op
     reported by returning ``None``; ``rank`` equals the row count.  The
-    pivot of a row is its smallest key under the global ordering.  With
-    ``maintain_rref`` (the default) no stored row contains the pivot key of
-    another, so ``rows`` read in pivot order are the canonical reduced
-    echelon basis of the span and two ledgers agree iff their row spaces
-    do.  Rank-only ledgers can turn that off: plain echelon gives the same
-    rank and membership answers without the back-substitution traffic.
+    pivot of a row is its smallest key under the global ordering.  A row
+    is stored once and never rewritten: the inserted vector with every
+    earlier pivot eliminated, primitive with a positive pivot.  Rank and
+    membership need no more; ``reduced`` gives the canonical form of the
+    span, and two ledgers are equal iff their row spaces are.
     """
 
-    def __init__(
-        self, memory_budget: int | None = None, maintain_rref: bool = True
-    ):
+    def __init__(self, memory_budget: int | None = None):
         self.rows: list[dict] = []
         self.pivots: list = []
         self._pivot_row: dict = {}
-        self._key_rows: dict = {}
         self.entry_count = 0
         self.memory_budget = memory_budget
-        self.maintain_rref = maintain_rref
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LinearLedger) and self.rows == other.rows
+        return (
+            isinstance(other, LinearLedger)
+            and self.canonical_rows() == other.canonical_rows()
+        )
 
     @property
     def rank(self) -> int:
@@ -197,69 +195,43 @@ class LinearLedger:
         """Exact membership of vec in the current row space."""
         return not self._forward_reduce(vec)
 
+    def _store(self, w: dict) -> dict:
+        """Append a nonzero residual of _forward_reduce as a primitive row."""
+        pivot = min(w)
+        w = _primitive(w, pivot)
+        self._pivot_row[pivot] = len(self.rows)
+        self.rows.append(w)
+        self.pivots.append(pivot)
+        self.entry_count += len(w)
+        self._check_budget()
+        return w
+
     def insert(self, vec) -> dict | None:
         """Add vec to the span.
 
-        Returns a snapshot of the stored (reduced, primitive) row, or None
-        if vec was already in the span.
+        Returns the stored row, which callers must not mutate, or None if
+        vec was already in the span.
         """
         w = self._forward_reduce(vec)
-        if not w:
-            return None
-        pivot = min(w)
-        w = _primitive(w, pivot)
-        rid = len(self.rows)
-        self.rows.append(w)
-        self.pivots.append(pivot)
-        self._pivot_row[pivot] = rid
-        self.entry_count += len(w)
-        self._check_budget()
-        if self.maintain_rref:
-            key_rows = self._key_rows
-            for k in w:
-                key_rows.setdefault(k, set()).add(rid)
-            holders = [r for r in key_rows[pivot] if r != rid]
-            for other in holders:
-                self._eliminate_key(other, pivot, w)
-        return dict(w)
+        return self._store(w) if w else None
 
-    def _eliminate_key(self, rid: int, key, src: dict) -> None:
-        """Zero out `key` in row rid using src (whose pivot is `key`)."""
-        row = self.rows[rid]
-        a = row[key]
-        b = src[key]
-        q, rem = divmod(a, b)
-        if rem:
-            g = gcd(a, b)
-            s = b // g
-            q = a // g
-            new_row = {kk: s * cc for kk, cc in row.items()}
-        else:
-            new_row = dict(row)
-        for kk, cc in src.items():
-            cur = new_row.get(kk, 0) - q * cc
-            if cur == 0:
-                new_row.pop(kk, None)
-            else:
-                new_row[kk] = cur
-        new_row = _primitive(new_row, self.pivots[rid])
-        key_rows = self._key_rows
-        for kk in row:
-            if kk not in new_row:
-                key_rows[kk].discard(rid)
-        for kk in new_row:
-            if kk not in row:
-                key_rows.setdefault(kk, set()).add(rid)
-        self.entry_count += len(new_row) - len(row)
-        self.rows[rid] = new_row
-        self._check_budget()
+    def reduced(self) -> LinearLedger:
+        """The span's reduced row echelon form, in a new ledger under the
+        same memory budget, rows largest pivot first.
+
+        The rows go in largest pivot first, so each is reduced against
+        every larger pivot and no earlier row holds its smaller pivot key:
+        the stored rows are the span's canonical primitive reduced rows.
+        """
+        out = LinearLedger(self.memory_budget)
+        order = sorted(range(self.rank), key=self.pivots.__getitem__, reverse=True)
+        for rid in order:
+            out._store(out._forward_reduce(self.rows[rid]))
+        return out
 
     def canonical_rows(self) -> list[dict]:
-        """Rows in pivot order; equal row spaces give equal lists."""
-        if not self.maintain_rref:
-            raise ValueError("canonical rows need a fully reduced ledger")
-        order = sorted(range(len(self.rows)), key=lambda r: self.pivots[r])
-        return [dict(self.rows[r]) for r in order]
+        """Reduced rows in pivot order; equal row spaces give equal lists."""
+        return self.reduced().rows[::-1]
 
 
 def span_ledger(vectors, memory_budget: int | None = None) -> LinearLedger:
@@ -295,7 +267,7 @@ def nullspace_combos(vectors: list[dict]) -> list[dict]:
     vanished end up pivoting in marker space and read off a basis of the
     left null space.  Exact integers.
     """
-    led = LinearLedger(maintain_rref=False)
+    led = LinearLedger()
     for lifted in _lifted(vectors):
         led.insert(lifted)
     return _marker_combos(led)
@@ -374,15 +346,15 @@ def ad_cut_type(n: int, v: dict) -> dict:
 class DlaReport:
     """Closure output: dimension, degree, basis and bookkeeping.
 
-    ``ledger`` is the closure's span in packed coordinates and the one copy
-    of its basis; ``basis`` publishes its rows, largest pivot first, on
-    first access: PauliVectors for raw runs, ``{PauliString: int}``
-    orbit-representative dicts for group-orbit runs, and ``{(p, q, r): int}``
-    dicts for complete-graph type coordinates.  ``generator_count`` is the
-    number of independent generators used (the size of B0); the center and
-    ideal stages act through their adjoint maps ``v -> [G_j, v]`` under the
-    ledger's memory budget.  Reports are equal when their ledgers hold the
-    same rows.
+    ``ledger`` is the closure's span in packed coordinates, fully reduced,
+    and the one copy of its basis; ``basis`` publishes its rows, largest
+    pivot first, on first access: PauliVectors for raw runs,
+    ``{PauliString: int}`` orbit-representative dicts for group-orbit runs,
+    and ``{(p, q, r): int}`` dicts for complete-graph type coordinates.
+    ``generator_count`` is the number of independent generators used (the
+    size of B0); the center and ideal stages act through their adjoint maps
+    ``v -> [G_j, v]`` under the ledger's memory budget.  Reports are equal
+    when their ledgers span the same space.
     """
 
     dimension: int
@@ -404,26 +376,27 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
     adjoints = []
     frontier = []
     for gd, ad in generators:
-        snap = ledger.insert(gd)
-        if snap is not None:
+        row = ledger.insert(gd)
+        if row is not None:
             adjoints.append(ad)
-            frontier.append(snap)
+            frontier.append(row)
     round_no = 0
-    while frontier:
-        round_no += 1
-        new = []
-        try:
+    try:
+        while frontier:
+            round_no += 1
+            new = []
             for ad in adjoints:
                 for f in frontier:
-                    snap = ledger.insert(ad(f))
-                    if snap is not None:
-                        new.append(snap)
-        except ResourceBudgetError as exc:
-            raise ResourceBudgetError(
-                f"{exc}; gave up in closure round {round_no} "
-                f"(frontier size {len(frontier)})"
-            ) from None
-        frontier = new
+                    row = ledger.insert(ad(f))
+                    if row is not None:
+                        new.append(row)
+            frontier = new
+        ledger = ledger.reduced()
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(
+            f"{exc}; gave up in closure round {round_no} "
+            f"(frontier size {len(frontier)})"
+        ) from None
     return DlaReport(
         dimension=ledger.rank,
         degree=max(round_no - 1, 0),  # every round but the last added
@@ -478,10 +451,11 @@ def generate_dla_orbit_compressed(
 
 
 def _basis_rows(report: DlaReport) -> list[dict]:
-    """The closure's basis, and the one place that picks it: the ledger's
-    reduced rows, largest pivot first.  Any basis gives the same ranks;
-    of the orders measured, this one ranks the center and ideal fastest."""
-    return report.ledger.canonical_rows()[::-1]
+    """The closure's basis, and the one place that picks it: the report
+    ledger's reduced rows, which ``_closure_engine`` stores largest pivot
+    first.  Any basis gives the same ranks; of the orders measured, this
+    one ranks the center and ideal fastest."""
+    return report.ledger.rows
 
 
 def _combine_basis(rows: list[dict], combo: dict) -> dict:
@@ -513,7 +487,7 @@ def _center_map(report: DlaReport, rows: list[dict]):
 def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
     """Echelon ledger of the vectors under the report's memory budget; a
     budget error names the stage."""
-    led = LinearLedger(report.ledger.memory_budget, maintain_rref=False)
+    led = LinearLedger(report.ledger.memory_budget)
     try:
         for v in vectors:
             led.insert(v)

@@ -272,7 +272,7 @@ def fact_suite(
         ) and span.contains({(0, 2, 0): 1})
 
     spanners = kn_ideal_basis(n)
-    led = LinearLedger(maintain_rref=False)
+    led = LinearLedger()
     for v in spanners:
         led.insert(v.to_dict())
     results["ideal-spanners-independent"] = led.rank == len(spanners)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from dla_lab import cli
 from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.paulis import PauliString, PauliVector
@@ -206,12 +207,26 @@ def test_sweep_csv_shape(capsys):
     assert dims == [3 * n - 1 for n in range(3, 8)]
 
 
-def test_csv_is_sweep_only(capsys):
-    code, _, err = run(
-        capsys, "compute", "--graph", "cycle:4", "--output", "csv"
-    )
-    assert code == 2
-    assert "csv" in err
+def test_csv_is_sweep_only(capsys, monkeypatch):
+    """csv is rejected while parsing, before any closure runs."""
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a closure ran before csv was rejected")
+
+    monkeypatch.setattr(cli, "generate_dla", no_closure)
+    monkeypatch.setattr(cli, "generate_dla_orbit_compressed", no_closure)
+    for argv in (
+        ("compute", "--graph", "cycle:4"),
+        ("compute", "--graph", "complete:40", "--orbit-compress"),
+        ("verify-cycle", "--n", "12"),
+        ("verify-complete", "--n", "4"),
+        ("variance", "--family", "cycle", "--n", "4"),
+        ("bounds", "--graph", "cycle:4"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", "csv"])
+        assert exc.value.code == 2
+        assert "csv" in capsys.readouterr().err
 
 
 def test_memory_budget_exit_code(capsys):

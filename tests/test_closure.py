@@ -6,6 +6,7 @@ tests/oracles/dense_oracle.py, which shares no code with the package.
 """
 
 import json
+import math
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -73,17 +74,49 @@ def test_ledger_canonical_rows_match_for_equal_spans():
     assert rows_a == rows_b
 
 
-def test_ledger_without_rref_same_rank():
+def test_ledger_insertion_order_keeps_rank_and_canonical_rows():
     rows = [{0: 2, 1: 4, 3: 1}, {1: 1, 3: 5}, {0: 1, 3: -2}, {0: 1, 1: 2}]
-    fast = LinearLedger(maintain_rref=False)
-    slow = LinearLedger(maintain_rref=True)
-    for r in rows:
-        fast.insert(dict(r))
-        slow.insert(dict(r))
-    assert fast.rank == slow.rank
-    assert fast.contains({0: 4, 1: 8, 3: 2}) and slow.contains({0: 4, 1: 8, 3: 2})
-    with pytest.raises(ValueError):
-        fast.canonical_rows()
+    forward = span_ledger(dict(r) for r in rows)
+    backward = span_ledger(dict(r) for r in rows[::-1])
+    assert forward.rank == backward.rank == 3
+    for led in (forward, backward):
+        assert led.contains({0: 4, 1: 8, 3: 2})
+    assert forward.canonical_rows() == backward.canonical_rows()
+    assert forward == backward
+
+
+def test_stored_rows_are_never_rewritten():
+    """A later pivot is not eliminated from an earlier row; only
+    ``reduced`` holds the fully reduced form."""
+    led = LinearLedger()
+    led.insert({0: 1, 1: 1})
+    led.insert({1: 1})
+    assert led.rows == [{0: 1, 1: 1}, {1: 1}]
+    assert led.reduced().rows == [{1: 1}, {0: 1}]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate_dla(maxcut_generators(Graph.cycle(6))),
+        lambda: generate_dla_orbit_compressed(Graph.complete(8)),
+        # g1-n5 of bench/graphs.json
+        lambda: generate_dla(maxcut_generators(
+            Graph(5, frozenset({(0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)}))
+        )),
+    ],
+    ids=["raw-cycle6", "orbit-complete8", "raw-g1-n5"],
+)
+def test_report_rows_are_reduced_largest_pivot_first(make):
+    led = make().ledger
+    pivots = [min(row) for row in led.rows]
+    assert pivots == led.pivots
+    assert all(a > b for a, b in zip(pivots, pivots[1:]))
+    pivot_set = set(pivots)
+    for row, piv in zip(led.rows, pivots):
+        assert row[piv] > 0
+        assert math.gcd(*row.values()) == 1
+        assert pivot_set & row.keys() == {piv}
 
 
 def test_ledger_memory_budget():

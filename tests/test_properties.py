@@ -23,6 +23,7 @@ from dla_lab.closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
+    span_ledger,
 )
 from dla_lab.graphs import Graph, dimension_bounds, maxcut_generators
 
@@ -85,3 +86,23 @@ def test_compute_json_rerenders_byte_identical(graph):
             assert main(["compute", "--graph", f"file:{path}"]) == 0
     text = out.getvalue().rstrip("\n")
     assert render_json(json.loads(text)) == text
+
+
+@settings(BOUNDED, max_examples=40)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4),
+        min_size=1,
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_rows_do_not_depend_on_insertion_order(vectors, rng):
+    orders = []
+    for _ in range(2):
+        shuffled = list(vectors)
+        rng.shuffle(shuffled)
+        orders.append(span_ledger(shuffled))
+    a, b = orders
+    assert a.canonical_rows() == b.canonical_rows()
+    assert a.reduced().rank == a.rank == b.rank
