@@ -353,7 +353,7 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
     )
 
     basis = kn_basis(n)
-    ledger = span_ledger([v.to_dict() for v in basis])
+    ledger = span_ledger([v.to_dict() for v in basis], args.memory_budget)
     outside = sum(
         0 if report.ledger.contains(v.to_dict()) else 1 for v in basis
     )
@@ -368,8 +368,8 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
         float(abs(len(basis) - forms["dim"]) + abs(ledger.rank - forms["dim"]) + outside),
     )
 
-    spanners = kn_ideal_basis(n)
-    ledger = span_ledger([v.to_dict() for v in spanners])
+    spanners = [v.to_dict() for v in kn_ideal_basis(n)]
+    ledger = span_ledger(spanners, args.memory_budget)
     ok = len(spanners) == forms["ideal_dim"] == ledger.rank
     checks.add(
         "ideal-spanning-set-dimension",
@@ -377,7 +377,7 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
         float(abs(len(spanners) - forms["ideal_dim"]) + abs(ledger.rank - forms["ideal_dim"])),
     )
 
-    for name, ok in fact_suite(n, report, ideal).items():
+    for name, ok in fact_suite(n, report, ideal, (spanners, ledger)).items():
         checks.add(name, ok, None if ok else 1.0)
 
     checks.add(

@@ -34,15 +34,17 @@ The same engine runs in three coordinate systems:
 Every generator acts only through its adjoint map ``v -> [G_j, v]``: the
 engine takes (vector, adjoint map) pairs, and the closure rounds, the
 center and the commutator ideal all apply the maps of B0 to basis
-elements.  The center and the ideal are ranked, and the center's basis
-solved for, by ledgers under the closure's memory budget.  The basis is
-kept once, as the report ledger's reduced rows, largest pivot first;
-``DlaReport.basis`` publishes them in the caller's types on first access.
+elements.  The center and the ideal are ranked by ledgers, and the
+center's basis is ``nullspace_combos`` of the stacked images, all under
+the closure's memory budget.  The basis is kept once, as the report
+ledger's reduced rows, largest pivot first; ``DlaReport.basis`` publishes
+them in the caller's types on first access.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -64,6 +66,13 @@ class ResourceBudgetError(RuntimeError):
     """Raised when a computation would exceed the configured entry budget."""
 
 
+def _check_budget(holder: str, count: int, budget: int | None) -> None:
+    if budget is not None and count > budget:
+        raise ResourceBudgetError(
+            f"{holder} {count} entries, over the budget of {budget}"
+        )
+
+
 def _add_term(acc: dict, key, c) -> None:
     """acc[key] += c, dropping the key when the sum is zero."""
     s = acc.get(key, 0) + c
@@ -74,21 +83,18 @@ def _add_term(acc: dict, key, c) -> None:
 
 
 def _to_int_row(vec) -> dict:
-    """Copy a sparse vector, clearing Fractions by a common denominator."""
-    denoms = [
-        c.denominator
-        for c in vec.values()
-        if isinstance(c, Fraction) and c.denominator != 1
-    ]
-    if denoms:
-        m = lcm(*denoms)
-        out = {}
-        for k, c in vec.items():
-            v = int(c * m)
-            if v:
-                out[k] = v
-        return out
-    return {k: int(c) for k, c in vec.items() if c}
+    """Copy an int/Fraction sparse vector as ints over the lcm of its
+    denominators, zeros dropped; any other coefficient is a TypeError."""
+    out = {}
+    m = 0  # lcm of the denominators once a non-int is seen
+    for k, c in vec.items():
+        if type(c) is not int:  # isinstance(c, Fraction) goes through ABCMeta
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"ledger coefficient {c!r} is no int or Fraction")
+            m = lcm(m or 1, c.denominator)
+        if c:
+            out[k] = c
+    return {k: int(c * m) for k, c in out.items()} if m else out
 
 
 def _primitive(row: dict, pivot) -> dict:
@@ -135,13 +141,6 @@ class LinearLedger:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def _check_budget(self):
-        if self.memory_budget is not None and self.entry_count > self.memory_budget:
-            raise ResourceBudgetError(
-                f"ledger holds {self.entry_count} entries, over the budget of "
-                f"{self.memory_budget}"
-            )
 
     def _forward_reduce(self, vec) -> dict:
         """Eliminate every existing pivot from a copy of vec (exact).
@@ -203,7 +202,7 @@ class LinearLedger:
         self.rows.append(w)
         self.pivots.append(pivot)
         self.entry_count += len(w)
-        self._check_budget()
+        _check_budget("ledger holds", self.entry_count, self.memory_budget)
         return w
 
     def insert(self, vec) -> dict | None:
@@ -242,35 +241,30 @@ def span_ledger(vectors, memory_budget: int | None = None) -> LinearLedger:
     return led
 
 
-def _lifted(vectors):
-    """Each vector with a marker key (1, i) sorting after its (0, k) keys."""
-    for i, v in enumerate(vectors):
-        lifted = {(0, k): c for k, c in v.items()}
-        lifted[(1, i)] = 1
-        yield lifted
-
-
-def _marker_combos(led: LinearLedger) -> list[dict]:
-    """The rows of a ledger of lifted vectors that pivot in marker space."""
-    return [
-        {k[1]: c for k, c in led.rows[rid].items()}
-        for rid, piv in enumerate(led.pivots)
-        if piv[0] == 1
-    ]
-
-
-def nullspace_combos(vectors: list[dict]) -> list[dict]:
+def nullspace_combos(vectors, memory_budget: int | None = None) -> list[dict]:
     """Combinations c with sum_i c[i]*vectors[i] == 0, as {index: coeff}.
 
-    Augmented elimination: each vector is lifted with a marker key that
-    sorts after every coordinate key, so rows whose coordinate part
-    vanished end up pivoting in marker space and read off a basis of the
-    left null space.  Exact integers.
+    Solved on the transposed system, one equation {-i: coeff} per key, so
+    the pivots fall on the last vectors first.  A ledger ranks and reduces
+    the equations; each free unknown gives one combination by
+    back-substitution, primitive and positive on its own index.  The budget
+    counts the equations' entries as they are stored, and the ledger's.
     """
-    led = LinearLedger()
-    for lifted in _lifted(vectors):
-        led.insert(lifted)
-    return _marker_combos(led)
+    eqs: dict = {}
+    count = n = 0
+    for n, v in enumerate(vectors, 1):
+        for k, c in v.items():
+            eqs.setdefault(k, {})[1 - n] = c
+        count += len(v)
+        _check_budget("null-space equations hold", count, memory_budget)
+    led = span_ledger(eqs.values(), memory_budget).reduced()
+    combos = {i: {i: 1} for i in range(n)}  # free unknown -> its solution
+    for piv, row in zip(led.pivots, led.rows):
+        del combos[-piv]
+        for k, c in row.items():
+            if k != piv:
+                combos[-k][-piv] = Fraction(-c, row[piv])
+    return [_primitive(_to_int_row(c), f) for f, c in combos.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +369,13 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
     ledger = LinearLedger(memory_budget)
     adjoints = []
     frontier = []
-    for gd, ad in generators:
-        row = ledger.insert(gd)
-        if row is not None:
-            adjoints.append(ad)
-            frontier.append(row)
     round_no = 0
     try:
+        for gd, ad in generators:
+            row = ledger.insert(gd)
+            if row is not None:
+                adjoints.append(ad)
+                frontier.append(row)
         while frontier:
             round_no += 1
             new = []
@@ -484,16 +478,20 @@ def _center_map(report: DlaReport, rows: list[dict]):
         yield w
 
 
+@contextmanager
+def _stage(name: str):
+    """Name the stage in a budget error raised inside the block."""
+    try:
+        yield
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(f"{exc}; gave up in the {name} stage") from None
+
+
 def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
     """Echelon ledger of the vectors under the report's memory budget; a
     budget error names the stage."""
-    led = LinearLedger(report.ledger.memory_budget)
-    try:
-        for v in vectors:
-            led.insert(v)
-    except ResourceBudgetError as exc:
-        raise ResourceBudgetError(f"{exc}; gave up in the {stage} stage") from None
-    return led
+    with _stage(stage):
+        return span_ledger(vectors, report.ledger.memory_budget)
 
 
 def center(report: DlaReport) -> list:
@@ -501,15 +499,15 @@ def center(report: DlaReport) -> list:
 
     An element commuting with all generators commutes with the whole
     closure (Jacobi identity), so the center is the null space of the
-    stacked maps v -> [G_j, v] restricted to the basis span, solved as in
+    stacked maps v -> [G_j, v] restricted to the basis span, solved by
     :func:`nullspace_combos` under the report's memory budget.  Exact.
     """
     rows = _basis_rows(report)
-    led = _rank_ledger(report, "center", _lifted(_center_map(report, rows)))
-    return [
-        _publish(report, _combine_basis(rows, combo))
-        for combo in _marker_combos(led)
-    ]
+    with _stage("center"):
+        combos = nullspace_combos(
+            _center_map(report, rows), report.ledger.memory_budget
+        )
+    return [_publish(report, _combine_basis(rows, c)) for c in combos]
 
 
 def center_dimension(report: DlaReport) -> int:

@@ -30,6 +30,7 @@ from .closure import (
     ad_field_type,
     generate_dla_orbit_compressed,
     ideal_ledger,
+    span_ledger,
 )
 from .graphs import Graph
 from .paulis import PauliString, PauliVector, SparseVector
@@ -218,20 +219,27 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
 
 
 def fact_suite(
-    n: int, report: DlaReport | None = None, ideal: LinearLedger | None = None
+    n: int,
+    report: DlaReport | None = None,
+    ideal: LinearLedger | None = None,
+    spanners: tuple[list[dict], LinearLedger] | None = None,
 ) -> dict[str, bool]:
     """Re-derive the membership facts behind the explicit bases.
 
     Each entry tests a family of triples for membership in the computed
     closure span (or its commutator ideal) and reports whether every
     member passed; the two negative controls must stay outside.  ``ideal``
-    is the report's commutator-ideal ledger, built here when not given.
+    (the report's commutator-ideal ledger) and ``spanners`` (the packed
+    ``kn_ideal_basis(n)`` and its ledger) are built here when not given.
     """
     if report is None:
         report = generate_dla_orbit_compressed(Graph.complete(n))
     span = report.ledger
     if ideal is None:
         ideal = ideal_ledger(report)
+    if spanners is None:
+        vectors = [v.to_dict() for v in kn_ideal_basis(n)]
+        spanners = vectors, span_ledger(vectors)
     types = _types_in_range(n)
     results = {}
 
@@ -271,13 +279,10 @@ def fact_suite(
             {(2, 0, 0): 1}
         ) and span.contains({(0, 2, 0): 1})
 
-    spanners = kn_ideal_basis(n)
-    led = LinearLedger()
-    for v in spanners:
-        led.insert(v.to_dict())
-    results["ideal-spanners-independent"] = led.rank == len(spanners)
+    vectors, led = spanners
+    results["ideal-spanners-independent"] = led.rank == len(vectors)
     results["ideal-spanners-inside-ideal"] = all(
-        ideal.contains(v.to_dict()) for v in spanners
+        ideal.contains(v) for v in vectors
     )
 
     results["all-x-outside-span"] = not span.contains({(n, 0, 0): 1})

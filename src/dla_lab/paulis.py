@@ -109,10 +109,6 @@ class PauliString:
             for j in range(self.n)
         )
 
-    def key(self) -> tuple[int, int]:
-        """Global ordering key: lexicographic on (x_mask, z_mask)."""
-        return (self.x_mask, self.z_mask)
-
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
 

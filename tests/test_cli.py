@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from dla_lab import cli
+from dla_lab import cli, complete_forms
 from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.paulis import PauliString, PauliVector
@@ -127,10 +127,22 @@ def test_verify_cycle_rejects_tiny_ring(capsys):
     assert "n >= 3" in err
 
 
-def test_verify_complete_passes_off_the_boundary(capsys):
+def test_verify_complete_passes_off_the_boundary(capsys, monkeypatch):
+    """The ideal spanners are built once, for the CLI check and the fact
+    suite together."""
+    calls = []
+    original = complete_forms.kn_ideal_basis
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(complete_forms, "kn_ideal_basis", counted)
+    monkeypatch.setattr(cli, "kn_ideal_basis", counted)
     code, out, _ = run(capsys, "verify-complete", "--n", "4")
     assert code == 0
     assert json.loads(out)["ok"] is True
+    assert calls == [4]
 
 
 def test_verify_complete_reports_the_tight_boundary_case(capsys):
@@ -230,11 +242,13 @@ def test_csv_is_sweep_only(capsys, monkeypatch):
 
 
 def test_memory_budget_exit_code(capsys):
+    # the second generator overflows the budget, before round 1
     code, _, err = run(
         capsys, "compute", "--graph", "cycle:8", "--memory-budget", "10"
     )
     assert code == 3
     assert "budget" in err
+    assert "gave up in closure round 0" in err
 
 
 def test_memory_budget_bounds_the_center_stage(capsys):

@@ -60,6 +60,27 @@ def test_ledger_fraction_inputs():
     assert not led.contains({0: 1, 2: 1})
 
 
+def test_ledger_rejects_float_coefficients():
+    """Truncating floats would let them decide ranks: 0.5 would count as
+    zero and 1.5 as one."""
+    with pytest.raises(TypeError, match="int or Fraction"):
+        span_ledger([{0: 0.5}])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        span_ledger([{0: 1.5, 1: 0.4}])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        span_ledger([{0: 1}]).contains({0: 0.5, 1: 0.3})
+    xi = PauliVector(2, {PauliString.from_label("XI"): 0.5})
+    zz = PauliVector(2, {PauliString.from_label("ZZ"): 1})
+    with pytest.raises(TypeError, match="int or Fraction"):
+        generate_dla([xi, zz])
+
+
+def test_ledger_stores_no_zero_entry():
+    led = span_ledger([{0: 0, 1: 2, 2: Fraction(0)}, {0: Fraction(3, 1), 1: 0}])
+    assert led.rows == [{1: 1}, {0: 1}]
+    assert all(type(c) is int for row in led.rows for c in row.values())
+
+
 def test_ledger_canonical_rows_match_for_equal_spans():
     """Two spanning sets of the same space give identical canonical rows."""
     a = LinearLedger()
@@ -319,11 +340,20 @@ def test_dependent_generator_is_dropped_from_every_stage():
 
 def test_center_is_bounded_by_the_memory_budget():
     # the closure fits in 200 entries (132); the center's null-space
-    # ledger needs 298 and must give up, naming its stage
+    # equations total 360 entries and must give up, naming its stage
     report = generate_dla(maxcut_generators(Graph.cycle(6)), memory_budget=200)
     assert report.ledger.entry_count == 132
     with pytest.raises(ResourceBudgetError, match="center stage"):
         center(report)
+
+
+def test_center_fits_the_budget_of_the_center_rank():
+    """On orbit complete:28 the center rank's ledger peaks at 41,003
+    entries; the center basis fits in that budget too."""
+    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=41_003)
+    assert center_dimension(report) == 1
+    (z,) = center(report)
+    assert all(not ad(z) for ad in report._adjoints)
 
 
 def test_center_and_ideal_fit_where_the_closure_fits():

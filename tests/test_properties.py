@@ -23,6 +23,7 @@ from dla_lab.closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
+    nullspace_combos,
     span_ledger,
 )
 from dla_lab.graphs import Graph, dimension_bounds, maxcut_generators
@@ -106,3 +107,22 @@ def test_canonical_rows_do_not_depend_on_insertion_order(vectors, rng):
     a, b = orders
     assert a.canonical_rows() == b.canonical_rows()
     assert a.reduced().rank == a.rank == b.rank
+
+
+@settings(BOUNDED, max_examples=60)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4),
+        max_size=7,
+    )
+)
+def test_nullspace_combos_are_a_basis_of_the_relations(vectors):
+    combos = nullspace_combos(vectors)
+    for combo in combos:
+        total = {}
+        for i, c in combo.items():
+            for k, v in vectors[i].items():
+                total[k] = total.get(k, 0) + c * v
+        assert not any(total.values())
+    assert len(combos) == len(vectors) - span_ledger(vectors).rank
+    assert span_ledger(combos).rank == len(combos)
