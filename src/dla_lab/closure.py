@@ -149,29 +149,21 @@ class LinearLedger:
         not divide c, the step is w <- (b/g)*w - (c/g)*row with
         g = gcd(b, c).  Pivots are positive, so the result is a positive
         multiple of the rational residual; the caller divides out the
-        content once at the end.
+        content once at the end.  The heap holds pivot keys only: they
+        come out ascending, and a row adds only keys above its pivot, so
+        an eliminated pivot never returns.
         """
         w = _to_int_row(vec)
-        if not w:
-            return w
-        heap = list(w)
-        heapq.heapify(heap)
-        done = set()
         pivot_row = self._pivot_row
+        heap = [k for k in w if k in pivot_row]
+        heapq.heapify(heap)
         rows = self.rows
         while heap:
             k = heapq.heappop(heap)
-            if k in done:
+            c = w.get(k)
+            if c is None:
                 continue
-            done.add(k)
-            c = w.get(k, 0)
-            if c == 0:
-                w.pop(k, None)
-                continue
-            rid = pivot_row.get(k)
-            if rid is None:
-                continue
-            row = rows[rid]
+            row = rows[pivot_row[k]]
             b = row[k]
             q, rem = divmod(c, b)
             if rem:
@@ -185,7 +177,7 @@ class LinearLedger:
                 if cur == 0:
                     w.pop(kk, None)
                 else:
-                    if kk not in w and kk not in done:
+                    if kk not in w and kk in pivot_row:
                         heapq.heappush(heap, kk)
                     w[kk] = cur
         return w

@@ -5,6 +5,8 @@ spanning tree plus random extra edges.  Runs are derandomized and the
 example counts bounded, so every run checks the same graphs in a few
 seconds.  Dimensions for n <= 4 are checked against the dense-matrix oracle
 in tests/oracles/dense_oracle.py, which shares no code with the package.
+The bracket kernel and the ledger's elimination are checked against plain
+term-by-term references written here.
 """
 
 import contextlib
@@ -12,13 +14,16 @@ import importlib.util
 import io
 import json
 import tempfile
+from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dla_lab.cli import main, render_json
 from dla_lab.closure import (
+    LinearLedger,
     center_dimension,
     generate_dla,
     generate_dla_orbit_compressed,
@@ -27,6 +32,13 @@ from dla_lab.closure import (
     span_ledger,
 )
 from dla_lab.graphs import Graph, dimension_bounds, maxcut_generators
+from dla_lab.paulis import (
+    commutes,
+    multiply,
+    pack_pauli,
+    pauli_bracket,
+    unpack_pauli,
+)
 
 _spec = importlib.util.spec_from_file_location(
     "dense_oracle", Path(__file__).parent / "oracles" / "dense_oracle.py"
@@ -126,3 +138,89 @@ def test_nullspace_combos_are_a_basis_of_the_relations(vectors):
         assert not any(total.values())
     assert len(combos) == len(vectors) - span_ledger(vectors).rank
     assert span_ledger(combos).rank == len(combos)
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def packed_pauli_dicts(draw):
+    n = draw(st.integers(1, 7))
+    keys = st.integers(0, 4**n - 1)
+    u = draw(st.dictionaries(keys, COEFFS, max_size=8))
+    v = draw(st.dictionaries(keys, COEFFS, max_size=8))
+    return n, u, v
+
+
+def _reference_bracket(n, u, v):
+    """Term by term: [iP, iQ] = -2 i^e (i R) for P·Q = i^e R, via multiply."""
+    acc = {}
+    for ku, cu in u.items():
+        p = unpack_pauli(n, ku)
+        for kv, cv in v.items():
+            q = unpack_pauli(n, kv)
+            if commutes(p, q):
+                continue
+            e, r = multiply(p, q)
+            key = pack_pauli(r)
+            s = acc.get(key, 0) + (2 if e == 3 else -2) * cu * cv
+            if s == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = s
+    return acc
+
+
+@settings(BOUNDED, max_examples=200)
+@given(packed_pauli_dicts())
+def test_bracket_kernel_is_the_term_by_term_sum(case):
+    n, u, v = case
+    expected = _reference_bracket(n, u, v)
+    assert list(pauli_bracket(n, u, v).items()) == list(expected.items())
+
+
+def _reference_rows(vectors):
+    """Plain Fraction elimination against every earlier pivot, ascending;
+    each residual made primitive with a positive pivot (None if zero)."""
+    rows, out = {}, []
+    for vec in vectors:
+        w = {k: Fraction(c) for k, c in vec.items() if c}
+        for p in sorted(rows):
+            f = Fraction(w.get(p, 0), rows[p][p])
+            for k, c in rows[p].items():
+                w[k] = w.get(k, 0) - f * c
+            w = {k: c for k, c in w.items() if c}
+        if not w:
+            out.append(None)
+            continue
+        pivot = min(w)
+        m = lcm(*(c.denominator for c in w.values()))
+        ints = {k: int(c * m) for k, c in w.items()}
+        g = gcd(*ints.values()) * (1 if ints[pivot] > 0 else -1)
+        rows[pivot] = {k: c // g for k, c in ints.items()}
+        out.append(rows[pivot])
+    return out
+
+
+@settings(BOUNDED, max_examples=80)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=5),
+        max_size=8,
+    )
+)
+# a step on pivot 0 cancels key 2, the step on pivot 1 creates it again,
+# and the step on pivot 2 fills in key 3
+@example([{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 1: 1, 2: 1}])
+def test_ledger_rows_are_the_fraction_elimination(vectors):
+    led = LinearLedger()
+    for vec, expected in zip(vectors, _reference_rows(vectors)):
+        assert led.contains(vec) == (expected is None)
+        assert led.insert(vec) == expected
+    for i, row in enumerate(led.rows):
+        assert not set(row) & set(led.pivots[:i])
