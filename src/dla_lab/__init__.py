@@ -26,134 +26,47 @@ The layers, bottom up:
     and variance under the 2-design assumption.
 ``cli``
     The ``dla-lab`` command-line front end.
+
+``import dla_lab`` loads no layer: each exported name imports its module
+on first access (PEP 562), so a command loads only the layers it runs.
 """
 
-from .closure import (
-    DEFAULT_MEMORY_BUDGET,
-    DlaReport,
-    LinearLedger,
-    ResourceBudgetError,
-    center,
-    center_dimension,
-    commutator_ideal,
-    generate_dla,
-    generate_dla_orbit_compressed,
-    ideal_dimension,
-    ideal_ledger,
-    nullspace_combos,
-    span_ledger,
-)
-from .complete_forms import (
-    DECOMPOSITION_CONJECTURE,
-    SymOrbitSum,
-    ad_cut,
-    ad_field,
-    fact_suite,
-    kn_basis,
-    kn_ideal_basis,
-    sym_term,
-)
-from .cycle_forms import (
-    CycleOrbitSum,
-    ab_power,
-    ab_power_expansion_coeffs,
-    canonical_basis,
-    cut_orbit,
-    cycle_basis,
-    cycle_center,
-    field_orbit,
-    orbit_bracket,
-    orbit_term,
-    su2_basis,
-)
-from .graphs import (
-    Graph,
-    centralizer_paulis,
-    dimension_bounds,
-    kn_formulas,
-    maxcut_generators,
-    parse_graph_spec,
-)
-from .paulis import (
-    PauliString,
-    PauliVector,
-    commutator,
-    commutes,
-    hs_inner,
-    multiply,
-    pauli_type,
-)
-from .spectral import (
-    HermitianVector,
-    PurityPair,
-    SpectralReport,
-    cut_observable,
-    cycle_spectral_report,
-    expectation,
-    plus_state,
-    purity,
-    variance_from_components,
-)
-from .symmetry import PermGroup, Permutation, graph_automorphisms
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_MEMORY_BUDGET",
-    "DECOMPOSITION_CONJECTURE",
-    "CycleOrbitSum",
-    "DlaReport",
-    "Graph",
-    "HermitianVector",
-    "LinearLedger",
-    "PauliString",
-    "PauliVector",
-    "PermGroup",
-    "Permutation",
-    "PurityPair",
-    "ResourceBudgetError",
-    "SpectralReport",
-    "SymOrbitSum",
-    "ab_power",
-    "ab_power_expansion_coeffs",
-    "ad_cut",
-    "ad_field",
-    "canonical_basis",
-    "center",
-    "center_dimension",
-    "centralizer_paulis",
-    "commutator",
-    "commutator_ideal",
-    "commutes",
-    "cut_observable",
-    "cut_orbit",
-    "cycle_basis",
-    "cycle_center",
-    "cycle_spectral_report",
-    "dimension_bounds",
-    "expectation",
-    "fact_suite",
-    "field_orbit",
-    "generate_dla",
-    "generate_dla_orbit_compressed",
-    "graph_automorphisms",
-    "hs_inner",
-    "ideal_dimension",
-    "ideal_ledger",
-    "kn_basis",
-    "kn_formulas",
-    "kn_ideal_basis",
-    "maxcut_generators",
-    "multiply",
-    "nullspace_combos",
-    "orbit_bracket",
-    "orbit_term",
-    "parse_graph_spec",
-    "pauli_type",
-    "plus_state",
-    "purity",
-    "span_ledger",
-    "su2_basis",
-    "sym_term",
-    "variance_from_components",
-]
+#: module -> the names the package exports from it
+_EXPORTS = {
+    "closure": """DEFAULT_MEMORY_BUDGET DlaReport LinearLedger ResourceBudgetError
+        center center_dimension commutator_ideal generate_dla
+        generate_dla_orbit_compressed ideal_dimension ideal_ledger
+        nullspace_combos span_ledger""",
+    "complete_forms": """DECOMPOSITION_CONJECTURE SymOrbitSum ad_cut ad_field
+        fact_suite kn_basis kn_ideal_basis sym_term""",
+    "cycle_forms": """CycleOrbitSum ab_power ab_power_expansion_coeffs
+        canonical_basis cut_orbit cycle_basis cycle_center field_orbit
+        orbit_bracket orbit_term su2_basis""",
+    "graphs": """Graph centralizer_paulis dimension_bounds kn_formulas
+        maxcut_generators parse_graph_spec""",
+    "paulis": "PauliString PauliVector commutator commutes hs_inner multiply pauli_type",
+    "spectral": """HermitianVector PurityPair SpectralReport cut_observable
+        cycle_spectral_report expectation plus_state purity
+        variance_from_components""",
+    "symmetry": "PermGroup Permutation graph_automorphisms",
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import an exported name's module on first access, and keep the name."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -30,7 +30,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -49,27 +48,7 @@ from .closure import (
     ideal_ledger,
     span_ledger,
 )
-from .complete_forms import (
-    DECOMPOSITION_CONJECTURE,
-    fact_suite,
-    kn_basis,
-    kn_ideal_basis,
-)
-from .cycle_forms import (
-    ab_power_coeffs,
-    ab_power_trig_coeffs,
-    ab_recursion_identity_ok,
-    ab_recursion_identity_residual,
-    alternating_eigen_residual,
-    canonical_relation_residuals,
-    cycle_basis,
-    cycle_center,
-    orbit_bracket,
-    su2_relation_residuals,
-)
 from .graphs import Graph, dimension_bounds, kn_formulas, maxcut_generators, parse_graph_spec
-from .paulis import commutator
-from .spectral import RECOMPUTE_VERTEX_CAP, cycle_spectral_report
 
 SCHEMA_VERSION = "dla-lab/1"
 DEFAULT_TOLERANCE = 1e-9
@@ -129,6 +108,8 @@ def _render_text(payload: dict) -> str:
 
 
 def _render_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
@@ -232,6 +213,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_cycle(args: argparse.Namespace) -> int:
+    from .cycle_forms import (
+        ab_power_coeffs,
+        ab_power_trig_coeffs,
+        ab_recursion_identity_ok,
+        ab_recursion_identity_residual,
+        alternating_eigen_residual,
+        canonical_relation_residuals,
+        cycle_basis,
+        cycle_center,
+        orbit_bracket,
+        su2_relation_residuals,
+    )
+    from .paulis import commutator
+    from .spectral import RECOMPUTE_VERTEX_CAP, cycle_spectral_report
+
     n = args.n
     if n < 3:
         raise UsageError("n >= 3 required for the cycle family")
@@ -326,6 +322,8 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_complete(args: argparse.Namespace) -> int:
+    from .complete_forms import DECOMPOSITION_CONJECTURE, fact_suite, kn_basis, kn_ideal_basis
+
     n = args.n
     if n < 2:
         raise UsageError("n >= 2 required for the complete family")
@@ -400,6 +398,8 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_variance(args: argparse.Namespace) -> int:
+    from .spectral import cycle_spectral_report
+
     if args.family != "cycle":
         raise UsageError(
             f"variance needs --family cycle: only the cycle family has a "

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
@@ -328,7 +327,6 @@ def ad_cut_type(n: int, v: dict) -> dict:
 # reports and the engine
 
 
-@dataclass
 class DlaReport:
     """Closure output: dimension, degree, basis and bookkeeping.
 
@@ -343,13 +341,31 @@ class DlaReport:
     when their ledgers span the same space.
     """
 
-    dimension: int
-    degree: int
-    generator_count: int
-    n: int
-    coords: str
-    ledger: LinearLedger = field(repr=False, default=None)
-    _adjoints: list = field(repr=False, compare=False, default=None)
+    def __init__(self, dimension: int, degree: int, generator_count: int, n: int,
+                 coords: str, ledger: LinearLedger = None, _adjoints: list = None):
+        self.dimension = dimension
+        self.degree = degree
+        self.generator_count = generator_count
+        self.n = n
+        self.coords = coords
+        self.ledger = ledger
+        self._adjoints = _adjoints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = (
+            (r.dimension, r.degree, r.generator_count, r.n, r.coords, r.ledger)
+            for r in (self, other)
+        )
+        return mine == theirs
+
+    def __repr__(self):
+        return (
+            f"DlaReport(dimension={self.dimension!r}, degree={self.degree!r}, "
+            f"generator_count={self.generator_count!r}, n={self.n!r}, "
+            f"coords={self.coords!r})"
+        )
 
     @cached_property
     def basis(self) -> list:
@@ -461,12 +477,24 @@ def _publish(report: DlaReport, d: dict):
 
 
 def _center_map(report: DlaReport, rows: list[dict]):
-    """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis row."""
+    """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis row.
+
+    The key of generator j's image key k is one int ``(j << 2n) | k`` for
+    packed keys, and the flat tuple ``(j, p, q, r)`` for type keys: both
+    sort as the pairs ``(j, k)`` would, without a pair per entry.
+    """
+    typed = report.coords == "complete-orbit"
+    shift = 2 * report.n
     for b in rows:
         w = {}
         for gi, ad in enumerate(report._adjoints):
-            for k, c in ad(b).items():
-                w[(gi, k)] = c
+            if typed:
+                for k, c in ad(b).items():
+                    w[(gi, *k)] = c
+            else:
+                high = gi << shift
+                for k, c in ad(b).items():
+                    w[high | k] = c
         yield w
 
 

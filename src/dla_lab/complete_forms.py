@@ -20,7 +20,6 @@ closure span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .closure import (

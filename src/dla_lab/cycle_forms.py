@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
-from .paulis import PauliString, PauliVector, SparseVector
+from .paulis import PauliString, PauliVector, SparseVector, ValueTuple
 
 _KINDS = ("X", "XN1", "ZXZ", "YXY", "YXZ")
 _KIND_INDEX = {k: i for i, k in enumerate(_KINDS)}
@@ -415,24 +415,16 @@ def ab_recursion_identity_residual(n: int) -> float:
 # spectral bases
 
 
-@dataclass(frozen=True)
-class CanonicalTriple:
+class CanonicalTriple(ValueTuple, namedtuple("CanonicalTriple", "k h u v")):
     """Raising/lowering triple for one mode: [h,u]=2u, [h,v]=-2v, [u,v]=h."""
 
-    k: int
-    h: CycleOrbitSum
-    u: CycleOrbitSum
-    v: CycleOrbitSum
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Su2Triple:
+class Su2Triple(ValueTuple, namedtuple("Su2Triple", "k x y z")):
     """Real rotation triple for one mode, pairwise cyclic brackets."""
 
-    k: int
-    x: CycleOrbitSum
-    y: CycleOrbitSum
-    z: CycleOrbitSum
+    __slots__ = ()
 
 
 def canonical_basis(n: int) -> list[CanonicalTriple]:

@@ -2,37 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 from pathlib import Path
 
-from .paulis import PauliString, PauliVector, anticommute
+from .paulis import PauliString, PauliVector, ValueTuple, anticommute
 from .symmetry import GroupTooLarge, graph_group, orbit_count
 
 # The brute-force centralizer search is refused beyond this many vertices.
 CENTRALIZER_VERTEX_CAP = 6
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+class Graph(ValueTuple, namedtuple("Graph", "n edges family", defaults=(None,))):
+    """Simple undirected graph on vertices 0..n-1; ``family`` is a label
+    that equality and hashing ignore."""
 
-    n: int
-    edges: frozenset
-    family: str | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, edges: frozenset, family: str | None = None):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
         norm = set()
-        for e in self.edges:
+        for e in edges:
             j, k = e
             if j == k:
                 raise ValueError(f"self-loop at vertex {j}")
-            if not (0 <= j < self.n and 0 <= k < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
+            if not (0 <= j < n and 0 <= k < n):
+                raise ValueError(f"edge {e} out of range for n={n}")
             norm.add((min(j, k), max(j, k)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        return tuple.__new__(cls, (n, frozenset(norm), family))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:2] == other[:2]
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":

@@ -35,7 +35,7 @@ one popcount and computes the phase inline (the symplectic rule of Aaronson
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 _CHAR_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -60,8 +60,24 @@ def anticommute(x1: int, z1: int, x2: int, z2: int) -> bool:
     return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 1
 
 
-@dataclass(frozen=True, slots=True)
-class PauliString:
+class ValueTuple(tuple):
+    """Base of the package's immutable value classes, each a named tuple.
+
+    An instance equals only instances of its own class, never a plain
+    tuple, and hashes as its field tuple.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__  # C-level, so hot dict keys stay cheap
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+
+class PauliString(ValueTuple, namedtuple("PauliString", "n x_mask z_mask")):
     """Bit-packed n-qubit Pauli word.
 
     Attributes
@@ -72,16 +88,15 @@ class PauliString:
         Symplectic masks; bits at positions >= n must be zero.
     """
 
-    n: int
-    x_mask: int
-    z_mask: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, x_mask: int, z_mask: int):
+        if n < 1:
             raise ValueError("need at least one qubit")
-        top = 1 << self.n
-        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
+        top = 1 << n
+        if not (0 <= x_mask < top and 0 <= z_mask < top):
             raise ValueError("mask bits above position n-1 must be zero")
+        return tuple.__new__(cls, (n, x_mask, z_mask))
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
@@ -118,14 +133,10 @@ class PauliString:
         return f"PauliString({self.label()!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class PauliType:
+class PauliType(ValueTuple, namedtuple("PauliType", "n_I n_X n_Y n_Z")):
     """Letter counts (n_I, n_X, n_Y, n_Z) of a Pauli string."""
 
-    n_I: int
-    n_X: int
-    n_Y: int
-    n_Z: int
+    __slots__ = ()
 
     @property
     def yz_even(self) -> bool:

@@ -32,13 +32,12 @@ overlap reduce to the same real coefficient dot product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cycle_forms import cycle_basis, cycle_center, su2_basis
 from .graphs import Graph
-from .paulis import PauliString, PauliVector, SparseVector, hs_inner, rationalize
+from .paulis import PauliString, PauliVector, SparseVector, ValueTuple, hs_inner, rationalize
 
 #: largest n for which ``plus_state`` will build its 2^n-term support
 PLUS_STATE_VERTEX_CAP = 20
@@ -205,11 +204,8 @@ def _pairing(rho: HermitianVector, obs: HermitianVector, basis) -> object:
     return _accumulate(contributions)
 
 
-class PurityPair(NamedTuple):
-    """Purities of the initial state and of the measurement in one subspace."""
-
-    rho: float
-    obs: float
+PurityPair = namedtuple("PurityPair", "rho obs")
+PurityPair.__doc__ = "Purities of the initial state and of the measurement in one subspace."
 
 
 def variance_from_components(
@@ -223,8 +219,12 @@ def variance_from_components(
     return math.fsum(float(p.rho) * float(p.obs) / 3.0 for p in per_component)
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+_REPORT_FIELDS = (
+    "n purity_whole purity_center purity_per_component expectation variance cross_residual"
+)
+
+
+class SpectralReport(ValueTuple, namedtuple("SpectralReport", _REPORT_FIELDS, defaults=(None,))):
     """Loss-function moments of QAOA-MaxCut on the cycle graph.
 
     ``purity_per_component[k-1]`` is the pair for the k-th su(2) component
@@ -233,27 +233,34 @@ class SpectralReport:
     expanded bases (None when the recomputation was skipped for size).
     """
 
-    n: int
-    purity_whole: PurityPair
-    purity_center: PurityPair
-    purity_per_component: tuple[PurityPair, ...]
-    expectation: float
-    variance: float
-    cross_residual: float | None = field(default=None)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variance < 0:
+    def __new__(
+        cls,
+        n: int,
+        purity_whole: PurityPair,
+        purity_center: PurityPair,
+        purity_per_component: tuple[PurityPair, ...],
+        expectation: float,
+        variance: float,
+        cross_residual: float | None = None,
+    ):
+        if variance < 0:
             raise ValueError("variance must be nonnegative")
         slack = 1e-9
         for part in ("rho", "obs"):
-            inside = getattr(self.purity_center, part) + math.fsum(
-                getattr(p, part) for p in self.purity_per_component
+            inside = getattr(purity_center, part) + math.fsum(
+                getattr(p, part) for p in purity_per_component
             )
-            if inside > getattr(self.purity_whole, part) + slack:
+            if inside > getattr(purity_whole, part) + slack:
                 raise ValueError(
                     f"component purities of {part} exceed the whole-algebra "
-                    f"purity: {inside} > {getattr(self.purity_whole, part)}"
+                    f"purity: {inside} > {getattr(purity_whole, part)}"
                 )
+        return tuple.__new__(cls, (
+            n, purity_whole, purity_center, purity_per_component,
+            expectation, variance, cross_residual,
+        ))
 
 
 def _closed_forms(n: int):

@@ -15,9 +15,9 @@ picks the group of a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .paulis import PauliString, PauliVector, pack_pauli, unpack_pauli
+from .paulis import PauliString, PauliVector, ValueTuple, pack_pauli, unpack_pauli
 
 # Explicit group enumeration is refused beyond this many elements (10!).
 ENUMERATION_CAP = 3_628_800
@@ -26,15 +26,15 @@ ENUMERATION_CAP = 3_628_800
 AUT_VERTEX_CAP = 10
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(ValueTuple, namedtuple("Permutation", "images")):
     """A bijection of [0, n); images[j] is the image of j."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
+    def __new__(cls, images: tuple[int, ...]):
+        if sorted(images) != list(range(len(images))):
             raise ValueError("not a bijection")
+        return tuple.__new__(cls, (images,))
 
     @property
     def n(self) -> int:

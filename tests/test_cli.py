@@ -138,7 +138,6 @@ def test_verify_complete_passes_off_the_boundary(capsys, monkeypatch):
         return original(n)
 
     monkeypatch.setattr(complete_forms, "kn_ideal_basis", counted)
-    monkeypatch.setattr(cli, "kn_ideal_basis", counted)
     code, out, _ = run(capsys, "verify-complete", "--n", "4")
     assert code == 0
     assert json.loads(out)["ok"] is True

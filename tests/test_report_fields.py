@@ -7,14 +7,14 @@ string constant as passed to ``getattr``, named like a ``_``-prefixed field.
 """
 
 import ast
-from dataclasses import fields
+import inspect
 from pathlib import Path
 
 import pytest
 
 from dla_lab.closure import DlaReport
 
-PRIVATE = {f.name for f in fields(DlaReport) if f.name.startswith("_")}
+PRIVATE = {name for name in inspect.signature(DlaReport).parameters if name.startswith("_")}
 SOURCES = [
     path
     for path in sorted((Path(__file__).parent.parent / "src" / "dla_lab").glob("*.py"))
