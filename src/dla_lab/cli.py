@@ -253,9 +253,10 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
     # the explicit orbit basis spans the same space as the closure: the
     # dimensions agree (first check) and every closure representative
     # string belongs to one of the explicit basis orbits
+    expanded = [b.expand() for b in basis]
     vocabulary = set()
-    for b in basis:
-        vocabulary.update(b.expand().support())
+    for e in expanded:
+        vocabulary.update(e.support())
     stray = sum(
         1
         for vec in report.basis
@@ -266,10 +267,9 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
 
     if n <= EXPANSION_CHECK_CAP:
         worst = 0
-        for a in basis:
-            ea = a.expand()
-            for b in basis:
-                diff = orbit_bracket(a, b).expand() - commutator(ea, b.expand())
+        for a, ea in zip(basis, expanded):
+            for b, eb in zip(basis, expanded):
+                diff = orbit_bracket(a, b).expand() - commutator(ea, eb)
                 worst = max(worst, diff.max_abs())
         checks.add("bracket-table-homomorphism", worst == 0, float(worst))
     else:
@@ -375,7 +375,7 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
         float(abs(len(spanners) - forms["ideal_dim"]) + abs(ledger.rank - forms["ideal_dim"])),
     )
 
-    for name, ok in fact_suite(n, report, ideal, (spanners, ledger)).items():
+    for name, ok in fact_suite(report, ideal, (spanners, ledger)).items():
         checks.add(name, ok, None if ok else 1.0)
 
     checks.add(

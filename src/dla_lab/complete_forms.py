@@ -22,16 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .closure import (
-    DlaReport,
-    LinearLedger,
-    ad_cut_type,
-    ad_field_type,
-    generate_dla_orbit_compressed,
-    ideal_ledger,
-    span_ledger,
-)
-from .graphs import Graph
+from .closure import DlaReport, LinearLedger, ad_cut_type, ad_field_type
 from .paulis import PauliString, PauliVector, SparseVector
 
 EXPANSION_VERTEX_CAP = 8
@@ -218,27 +209,20 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
 
 
 def fact_suite(
-    n: int,
-    report: DlaReport | None = None,
-    ideal: LinearLedger | None = None,
-    spanners: tuple[list[dict], LinearLedger] | None = None,
+    report: DlaReport,
+    ideal: LinearLedger,
+    spanners: tuple[list[dict], LinearLedger],
 ) -> dict[str, bool]:
     """Re-derive the membership facts behind the explicit bases.
 
     Each entry tests a family of triples for membership in the computed
-    closure span (or its commutator ideal) and reports whether every
-    member passed; the two negative controls must stay outside.  ``ideal``
-    (the report's commutator-ideal ledger) and ``spanners`` (the packed
-    ``kn_ideal_basis(n)`` and its ledger) are built here when not given.
+    closure span of K_n (or its commutator ideal) and reports whether
+    every member passed; the two negative controls must stay outside.
+    ``ideal`` is the report's commutator-ideal ledger and ``spanners`` the
+    packed ``kn_ideal_basis(n)`` with its ledger.
     """
-    if report is None:
-        report = generate_dla_orbit_compressed(Graph.complete(n))
+    n = report.n
     span = report.ledger
-    if ideal is None:
-        ideal = ideal_ledger(report)
-    if spanners is None:
-        vectors = [v.to_dict() for v in kn_ideal_basis(n)]
-        spanners = vectors, span_ledger(vectors)
     types = _types_in_range(n)
     results = {}
 

@@ -78,31 +78,14 @@ class Graph(ValueTuple, namedtuple("Graph", "n edges family", defaults=(None,)))
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        return cls(n, frozenset(edges))
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * self.n
-        for j, k in self.edges:
-            deg[j] += 1
-            deg[k] += 1
-        return deg
-
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = {v: [] for v in range(self.n)}
-        for j, k in self.edges:
-            adj[j].append(k)
-            adj[k].append(j)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}: bad edge line {ln!r}")
+        try:
+            return cls(n, frozenset(edges))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}")
 
 
 def parse_graph_spec(spec: str) -> Graph:

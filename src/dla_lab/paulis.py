@@ -126,9 +126,6 @@ class PauliString(ValueTuple, namedtuple("PauliString", "n x_mask z_mask")):
             for j in range(self.n)
         )
 
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
     def __repr__(self):  # keep reprs short in test output
         return f"PauliString({self.label()!r})"
 

@@ -61,10 +61,6 @@ class HermitianVector(SparseVector):
     def _label(self, p: PauliString) -> str:
         return p.label()
 
-    def norm_squared(self):
-        """Squared Frobenius norm tr(H^2) = 2^n * sum_P c_P^2."""
-        return hs_inner(self, self)
-
 
 def plus_state(n: int) -> HermitianVector:
     """Density matrix of ``|+><+|^(tensor n)`` as a Pauli combination.

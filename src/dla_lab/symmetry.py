@@ -8,9 +8,9 @@ hence preserves the letter counts (the type) of the string.
 
 ``PackedOrbits`` is the one orbit map: built from any ``PermGroup``, it
 canonicalises packed ``(x_mask << n) | z_mask`` keys.  The orbit-compressed
-closure, ``orbit_strings`` and ``compress``/``decompress`` all go through it,
-and ``apply_perm`` shares its bit-permuting routine.  ``graph_group`` alone
-picks the group of a graph.
+closure, ``PackedOrbits.strings`` and ``compress``/``decompress`` all go
+through it, and ``apply_perm`` shares its bit-permuting routine.
+``graph_group`` alone picks the group of a graph.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class Permutation(ValueTuple, namedtuple("Permutation", "images")):
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self * other)(j) = self(other(j))."""
         return Permutation(tuple(self.images[i] for i in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, i in enumerate(self.images):
-            inv[i] = j
-        return Permutation(tuple(inv))
 
     def cycle_count(self) -> int:
         seen = [False] * self.n
@@ -100,10 +94,6 @@ def apply_perm(perm: Permutation, p: PauliString) -> PauliString:
     return unpack_pauli(p.n, key)
 
 
-def apply_perm_vector(perm: Permutation, v: PauliVector) -> PauliVector:
-    return PauliVector(v.n, {apply_perm(perm, p): c for p, c in v.terms()})
-
-
 class GroupTooLarge(ValueError):
     """Raised when explicit enumeration would exceed the configured cap."""
 
@@ -149,16 +139,6 @@ class PermGroup:
     def reversal(cls, n: int) -> "PermGroup":
         """{identity, j -> n-1-j}, the automorphisms of a path."""
         return cls(n, [Permutation(tuple(n - 1 - j for j in range(n)))])
-
-    @classmethod
-    def from_elements(cls, n: int, elements: list[Permutation]) -> "PermGroup":
-        g = cls(n, list(elements))
-        ident = Permutation.identity(n)
-        elems = list(elements)
-        if ident not in elems:
-            elems = [ident] + elems
-        g._elements = elems
-        return g
 
     def elements(self) -> list[Permutation]:
         """All group elements (identity first, then BFS discovery order)."""
@@ -223,21 +203,6 @@ class PackedOrbits:
         if p.n != self.n:
             raise ValueError(f"sizes differ: {self.n} != {p.n}")
         return [unpack_pauli(self.n, k) for k in self.orbit(pack_pauli(p))[2]]
-
-
-def orbit_strings(p: PauliString, group: PermGroup) -> list[PauliString]:
-    """Distinct images of p under the group, sorted by (x_mask, z_mask)."""
-    return PackedOrbits(group).strings(p)
-
-
-def orbit_sum(p: PauliString, group: PermGroup) -> PauliVector:
-    """Sum of the distinct images of i*p, each with coefficient 1.
-
-    Group multiplicity is divided out: each distinct string appears once
-    regardless of its stabilizer, which keeps ring and complete-graph
-    orbit objects on the same normalization.
-    """
-    return PauliVector(p.n, {q: 1 for q in orbit_strings(p, group)})
 
 
 def orbit_count(n: int, group: PermGroup) -> int:
@@ -326,7 +291,10 @@ def graph_automorphisms(graph) -> PermGroup:
                 assignment[j] = -1
 
     extend(0)
-    return PermGroup.from_elements(n, auts)
+    # images are tried in increasing order, so the identity is found first
+    group = PermGroup(n, auts)
+    group._elements = auts
+    return group
 
 
 def graph_group(graph) -> PermGroup:

@@ -57,6 +57,24 @@ def test_compute_graph_from_file(capsys, tmp_path):
     assert json.loads(out)["dim"] == 8
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("3\n0 1\n1 x\n", "bad edge line '1 x'"),
+        ("3\n0 1\n0 5\n", "edge (0, 5) out of range for n=3"),
+        ("3\n0 1\n1 1\n", "self-loop at vertex 1"),
+    ],
+    ids=["non-integer", "out-of-range", "self-loop"],
+)
+def test_graph_file_errors_name_the_file(capsys, tmp_path, body, message):
+    spec = tmp_path / "bad.graph"
+    spec.write_text(body)
+    code, out, err = run(capsys, "compute", "--graph", f"file:{spec}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {spec}: {message}\n"
+
+
 def test_orbit_compression_over_the_cap_is_a_usage_error(capsys, tmp_path):
     spec = tmp_path / "path11.graph"
     spec.write_text("11\n" + "".join(f"{j} {j + 1}\n" for j in range(10)))
@@ -148,6 +166,19 @@ def test_verify_complete_reports_the_tight_boundary_case(capsys):
     """At three vertices the dimension meets the parity bound exactly,
     so the strict-inequality check honestly fails."""
     code, out, _ = run(capsys, "verify-complete", "--n", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    failures = [
+        c["name"] for c in payload["checks"] if c["status"] == "fail"
+    ]
+    assert failures == ["dimension-below-parity-bound"]
+
+
+def test_verify_complete_reports_the_two_vertex_boundary_case(capsys):
+    """At two vertices the dimension also meets the parity bound (4 = 4),
+    and only the strict-inequality check fails."""
+    code, out, _ = run(capsys, "verify-complete", "--n", "2")
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False

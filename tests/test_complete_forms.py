@@ -17,7 +17,7 @@ from dla_lab import (
     kn_ideal_basis,
     sym_term,
 )
-from dla_lab.closure import span_ledger
+from dla_lab.closure import ideal_ledger, span_ledger
 from dla_lab.complete_forms import SymOrbitSum
 
 
@@ -100,17 +100,14 @@ def test_explicit_basis_spans_the_closure(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_fact_suite_all_hold(n):
-    results = fact_suite(n)
+    report = generate_dla_orbit_compressed(Graph.complete(n))
+    spanners = [v.to_dict() for v in kn_ideal_basis(n)]
+    results = fact_suite(report, ideal_ledger(report), (spanners, span_ledger(spanners)))
     assert results, "fact suite must not be empty"
     failed = [name for name, ok in results.items() if not ok]
     assert not failed
     assert "all-x-outside-span" in results
     assert "identity-outside-span" in results
-
-
-def test_fact_suite_reuses_report():
-    report = generate_dla_orbit_compressed(Graph.complete(6))
-    assert all(fact_suite(6, report).values())
 
 
 def test_ideal_spanners_independent_in_type_coordinates():

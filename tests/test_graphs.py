@@ -38,13 +38,6 @@ def test_families():
         Graph.cycle(2)
 
 
-def test_degree_sequence_and_connectivity():
-    assert Graph.cycle(5).degree_sequence() == [2, 2, 2, 2, 2]
-    assert Graph.path(3).degree_sequence() == [1, 2, 1]
-    assert Graph.cycle(6).is_connected()
-    assert not Graph(4, ((0, 1), (2, 3))).is_connected()
-
-
 def test_parse_graph_spec():
     assert parse_graph_spec("cycle:7") == Graph.cycle(7)
     assert parse_graph_spec("complete:4") == Graph.complete(4)
@@ -130,6 +123,7 @@ def test_kn_formulas_parity_split():
     }
     odd = kn_formulas(5)
     assert (odd["dim"], odd["ideal_dim"], odd["center_dim"]) == (24, 22, 2)
+    assert kn_formulas(2)["dim"] == kn_formulas(2)["yz_bound"] == 4
 
 
 def test_centralizer_cycle_four():

@@ -45,8 +45,8 @@ def test_mask_validation():
 
 
 def test_identity():
-    assert PauliString.identity(3).is_identity()
-    assert not PauliString.from_label("IXI").is_identity()
+    assert PauliString.identity(3) == PauliString.from_label("III")
+    assert PauliString.from_label("IXI") != PauliString.identity(3)
 
 
 def test_pauli_type_counts():

@@ -17,6 +17,7 @@ from dla_lab import (
     cycle_center,
     cycle_spectral_report,
     expectation,
+    hs_inner,
     plus_state,
     purity,
     variance_from_components,
@@ -46,7 +47,7 @@ def test_cut_observable_unit_frobenius_scale():
     g = Graph.cycle(6)
     obs = cut_observable(g)
     assert len(obs) == 6
-    assert abs(obs.norm_squared() - 2**6) < 1e-9
+    assert abs(hs_inner(obs, obs) - 2**6) < 1e-9
     with pytest.raises(ValueError):
         cut_observable(Graph(3, []))
 
@@ -59,7 +60,7 @@ def test_hermitian_vector_basics():
     assert len(h) == 1, "zero entries are dropped"
     assert h.coeff(ix) == 0
     assert h.scaled(4).coeff(xi) == 2
-    assert h.norm_squared() == 1
+    assert hs_inner(h, h) == 1
     with pytest.raises(ValueError):
         HermitianVector(2, {PauliString.from_label("XXX"): 1})
 
@@ -78,7 +79,7 @@ def test_purity_is_exact_for_rational_inputs():
     )
     value = purity(x_orbit, whole)
     assert value == Fraction(64, 9)
-    assert value == x_orbit.norm_squared(), "members project onto themselves"
+    assert value == hs_inner(x_orbit, x_orbit), "members project onto themselves"
     assert purity(x_orbit.scaled(3), whole) == 9 * value
 
 
