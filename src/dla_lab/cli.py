@@ -42,6 +42,7 @@ from .closure import (
     DlaReport,
     ResourceBudgetError,
     center_dimension,
+    check_split,
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
@@ -162,6 +163,7 @@ def _compute_row(graph, orbit_compress: bool, memory_budget: int) -> dict:
         report = generate_dla(maxcut_generators(graph), memory_budget)
     cdim = center_dimension(report)
     idim = ideal_dimension(report)
+    check_split(report, cdim, idim)
     runtime_ms = int(round((time.perf_counter() - start) * 1000))
     bounds = dimension_bounds(graph)
     return {
@@ -408,11 +410,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
     n = args.n
     if n < 3:
         raise UsageError("n >= 3 required for the cycle family")
-    try:
-        report = cycle_spectral_report(n, args.tolerance)
-    except ArithmeticError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    report = cycle_spectral_report(n, args.tolerance)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "variance",
@@ -605,6 +603,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ArithmeticError as exc:  # a broken exact invariant
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -34,11 +34,18 @@ The same engine runs in three coordinate systems:
 Every generator acts only through its adjoint map ``v -> [G_j, v]``: the
 engine takes (vector, adjoint map) pairs, and the closure rounds, the
 center and the commutator ideal all apply the maps of B0 to basis
-elements.  The center and the ideal are ranked by ledgers, and the
-center's basis is ``nullspace_combos`` of the stacked images, all under
-the closure's memory budget.  The basis is kept once, as the report
-ledger's reduced rows, largest pivot first; ``DlaReport.basis`` publishes
-them in the caller's types on first access.
+elements.  The basis is kept once, as the report ledger's reduced rows,
+largest pivot first; ``DlaReport.basis`` publishes them in the caller's
+types on first access.
+
+The center and the ideal are ranked in the basis's pivot coordinates: an
+image [G_j, b] lies in the algebra, and the reduced rows are triangular at
+their pivot keys, so an image restricted to the d pivot keys loses nothing.
+Raw images are evaluated at the pivots only (``pauli_bracket``'s ``at``).
+The center's basis is ``nullspace_combos`` of the stacked restricted
+images, and every stage runs under the closure's memory budget.
+``ideal_ledger`` keeps [g, g] in the closure's own coordinates, for
+membership tests of arbitrary vectors.
 """
 
 from __future__ import annotations
@@ -476,25 +483,38 @@ def _publish(report: DlaReport, d: dict):
     return dict(d)
 
 
-def _center_map(report: DlaReport, rows: list[dict]):
-    """Rows of the stacked adjoint map b -> ([G_j, b])_j, one per basis row.
+def _pivot_image(report: DlaReport, ad, b: dict, block: int = 0) -> dict:
+    """[G_j, b] in the basis's pivot coordinates: its coefficient on the
+    m-th smallest pivot key goes to key ``block * dim + m``.  The keys keep
+    the order of the pivots they stand for: in the reverse order the
+    elimination fills in, and orbit complete:28's center rank took 16
+    times as long.
 
-    The key of generator j's image key k is one int ``(j << 2n) | k`` for
-    packed keys, and the flat tuple ``(j, p, q, r)`` for type keys: both
-    sort as the pairs ``(j, k)`` would, without a pair per entry.
+    The reduced rows are triangular at their pivot keys, so restricting to
+    those keys is one-to-one on the algebra; every image of a basis row
+    lies in the algebra, since the closure reduced each generator image of
+    its rows into the ledger.  Ranks and null spaces of the images are
+    therefore the same as in full coordinates.  A raw image is evaluated at
+    the pivots only; orbit and type images are filtered as they are read.
     """
-    typed = report.coords == "complete-orbit"
-    shift = 2 * report.n
+    index = report.ledger._pivot_row  # pivot key -> row, largest pivot first
+    top = (block + 1) * report.dimension - 1
+    image = ad(b, at=index) if report.coords == "pauli" else ad(b)
+    out = {}
+    for k, c in image.items():
+        i = index.get(k)
+        if i is not None:
+            out[top - i] = c
+    return out
+
+
+def _center_map(report: DlaReport, rows: list[dict]):
+    """Rows of the stacked adjoint map b -> ([G_j, b])_j in pivot
+    coordinates, one per basis row, generator j in block j."""
     for b in rows:
         w = {}
-        for gi, ad in enumerate(report._adjoints):
-            if typed:
-                for k, c in ad(b).items():
-                    w[(gi, *k)] = c
-            else:
-                high = gi << shift
-                for k, c in ad(b).items():
-                    w[high | k] = c
+        for j, ad in enumerate(report._adjoints):
+            w.update(_pivot_image(report, ad, b, j))
         yield w
 
 
@@ -537,7 +557,8 @@ def center_dimension(report: DlaReport) -> int:
 
 
 def ideal_ledger(report: DlaReport) -> LinearLedger:
-    """Rank-only ledger spanning [g, g] = span{[G_j, b] : b in basis}.
+    """Ledger spanning [g, g] = span{[G_j, b] : b in basis}, in the
+    closure's own coordinates, for membership tests.
 
     For a generated algebra this bracket stream spans the full ideal: by
     Jacobi induction any [u, v] with u, v in the closure reduces to brackets
@@ -556,15 +577,22 @@ def commutator_ideal(report: DlaReport) -> list:
     dim(center) + dim(ideal) == dim(g) holds.
     """
     led = ideal_ledger(report)
-    cdim = center_dimension(report)
-    if cdim + led.rank != report.dimension:
-        raise ArithmeticError(
-            "center and commutator ideal must split the algebra: "
-            f"{cdim} + {led.rank} != {report.dimension}"
-        )
+    check_split(report, center_dimension(report), led.rank)
     return [_publish(report, row) for row in led.rows]
 
 
 def ideal_dimension(report: DlaReport) -> int:
-    """dim of [g, g] without materializing the spanning vectors."""
-    return ideal_ledger(report).rank
+    """dim of [g, g]: the rank of the images [G_j, b] in pivot coordinates."""
+    rows = _basis_rows(report)
+    images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
+    return _rank_ledger(report, "ideal", images).rank
+
+
+def check_split(report: DlaReport, center_dim: int, ideal_dim: int) -> None:
+    """Raise ArithmeticError unless dim(center) + dim([g, g]) == dim(g),
+    which holds exactly for every compact Lie algebra."""
+    if center_dim + ideal_dim != report.dimension:
+        raise ArithmeticError(
+            "center and commutator ideal must split the algebra: "
+            f"{center_dim} + {ideal_dim} != {report.dimension}"
+        )

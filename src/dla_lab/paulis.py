@@ -30,7 +30,8 @@ subclass that only fixes its keys.  :func:`pauli_bracket` is the one Pauli
 bracket kernel, on dicts keyed by packed ``(x_mask << n) | z_mask`` ints;
 :func:`commutator` and both closure engines call it.  It tests a pair with
 one popcount and computes the phase inline (the symplectic rule of Aaronson
-& Gottesman, 2004); :func:`phase_exponent` is its test oracle.
+& Gottesman, 2004); :func:`phase_exponent` is its test oracle.  Given keys
+``at``, it returns only the bracket's terms on those keys.
 """
 
 from __future__ import annotations
@@ -97,10 +98,6 @@ class PauliString(ValueTuple, namedtuple("PauliString", "n x_mask z_mask")):
         if not (0 <= x_mask < top and 0 <= z_mask < top):
             raise ValueError("mask bits above position n-1 must be zero")
         return tuple.__new__(cls, (n, x_mask, z_mask))
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
 
     @classmethod
     def single(cls, n: int, j: int, kind: str) -> "PauliString":
@@ -283,10 +280,6 @@ class PauliVector(SparseVector):
     def _label(self, p: PauliString) -> str:
         return "i" + p.label()
 
-    @classmethod
-    def single_term(cls, p: PauliString, coeff=1) -> "PauliVector":
-        return cls(p.n, {p: coeff})
-
     @property
     def entries(self) -> dict[PauliString, object]:
         return dict(self._coeffs)
@@ -309,7 +302,7 @@ def dict_to_pauli_vector(n: int, d: dict) -> PauliVector:
     return PauliVector(n, {unpack_pauli(n, k): c for k, c in d.items()})
 
 
-def pauli_bracket(n: int, u: dict, v: dict) -> dict:
+def pauli_bracket(n: int, u: dict, v: dict, at=None) -> dict:
     """[u, v] of skew-Hermitian vectors given as packed-key dicts; exact.
 
     For anticommuting strings P, Q with P·Q = i^e R the bracket of the
@@ -318,7 +311,17 @@ def pauli_bracket(n: int, u: dict, v: dict) -> dict:
     ``su & kv``, u's key swapped to ``(z << n) | x``; e is computed inline
     (odd, so ``e & 2`` tells 3 from 1).  Zero sums are dropped as they
     occur.
+
+    With ``at`` (a set or dict of keys) only the bracket's terms on those
+    keys are returned.  When there are fewer keys than terms of v, each
+    key k is paired with every term ku of u, looking up ``v[k ^ ku]``;
+    each sum runs in u's order as in the full loop, so the result equals
+    the full bracket filtered to ``at`` for any coefficient type.
     """
+    if at is not None:
+        if len(at) >= len(v):
+            return {k: c for k, c in pauli_bracket(n, u, v).items() if k in at}
+        return _bracket_at(n, u, v, at)
     mask = (1 << n) - 1
     acc: dict[int, object] = {}
     for ku, cu in u.items():
@@ -341,6 +344,31 @@ def pauli_bracket(n: int, u: dict, v: dict) -> dict:
             else:
                 acc[k3] = s
     return acc
+
+
+def _bracket_at(n: int, u: dict, v: dict, at) -> dict:
+    """The terms of ``pauli_bracket(n, u, v)`` on the keys of ``at``."""
+    mask = (1 << n) - 1
+    terms = []
+    for ku, cu in u.items():
+        x1 = ku >> n
+        z1 = ku & mask
+        terms.append((ku, (z1 << n) | x1, z1, (x1 & z1).bit_count(), 2 * cu, -2 * cu))
+    out: dict[int, object] = {}
+    for k3 in at:
+        w3 = ((k3 >> n) & k3).bit_count()
+        s = 0
+        for ku, su, z1, w1, plus, minus in terms:
+            kv = k3 ^ ku
+            cv = v.get(kv)
+            if cv is None or not (su & kv).bit_count() & 1:
+                continue
+            x2 = kv >> n
+            e = w1 + (x2 & kv).bit_count() + 2 * (z1 & x2).bit_count() - w3
+            s = s + (plus if e & 2 else minus) * cv
+        if s != 0:
+            out[k3] = s
+    return out
 
 
 def commutator(a: PauliVector, b: PauliVector) -> PauliVector:

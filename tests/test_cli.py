@@ -13,6 +13,7 @@ import pytest
 from dla_lab import cli, complete_forms
 from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
+from dla_lab.graphs import kn_formulas
 from dla_lab.paulis import PauliString, PauliVector
 
 
@@ -100,7 +101,7 @@ def test_orbit_compressed_path_payload_matches_raw(capsys):
 
 def _raw_closure(*labels):
     return generate_dla(
-        [PauliVector.single_term(PauliString.from_label(s)) for s in labels]
+        [PauliVector(len(s), {PauliString.from_label(s): 1}) for s in labels]
     )
 
 
@@ -290,6 +291,40 @@ def test_memory_budget_bounds_the_center_stage(capsys):
     assert code == 3
     assert out == ""
     assert "center stage" in err
+
+
+def test_center_and_ideal_fit_the_closure_budget_of_raw_complete_7(capsys):
+    """The closure of raw complete:7 peaks at 11,697 entries; its center
+    and ideal, ranked in pivot coordinates, need 239 and 73."""
+    code, out, err = run(
+        capsys, "compute", "--graph", "complete:7", "--memory-budget", "12000"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    forms = kn_formulas(7)
+    assert [payload[k] for k in ("dim", "center_dim", "ideal_dim")] == [
+        forms["dim"], forms["center_dim"], forms["ideal_dim"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, numbers",
+    [
+        (("compute", "--graph", "cycle:5"), "2 + 13 != 14"),
+        (("compute", "--graph", "complete:6", "--orbit-compress"), "1 + 38 != 38"),
+        (("sweep", "--family", "cycle", "--min", "3", "--max", "4"), "2 + 7 != 8"),
+    ],
+)
+def test_a_broken_center_ideal_split_fails_verification(capsys, monkeypatch, argv, numbers):
+    """compute and sweep check dim(center) + dim([g, g]) == dim(g)."""
+    real = cli.ideal_dimension
+    monkeypatch.setattr(cli, "ideal_dimension", lambda report: real(report) + 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "verification failure: center and commutator ideal must split the "
+        f"algebra: {numbers}\n"
+    )
 
 
 def test_bad_graph_spec(capsys):

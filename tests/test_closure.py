@@ -23,6 +23,7 @@ from dla_lab.closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
+    ideal_ledger,
     nullspace_combos,
     span_ledger,
 )
@@ -210,8 +211,8 @@ def test_closure_degree_positive_and_stable():
 
 def test_closure_abelian_degree_zero():
     """Two commuting generators close immediately with degree 0."""
-    a = PauliVector.single_term(PauliString.from_label("ZI"))
-    b = PauliVector.single_term(PauliString.from_label("IZ"))
+    a = PauliVector(2, {PauliString.from_label("ZI"): 1})
+    b = PauliVector(2, {PauliString.from_label("IZ"): 1})
     report = generate_dla([a, b])
     assert report.dimension == 2 and report.degree == 0
 
@@ -339,33 +340,82 @@ def test_dependent_generator_is_dropped_from_every_stage():
 
 
 def test_center_is_bounded_by_the_memory_budget():
-    # the closure fits in 200 entries (132); the center's null-space
-    # equations total 360 entries and must give up, naming its stage
-    report = generate_dla(maxcut_generators(Graph.cycle(6)), memory_budget=200)
-    assert report.ledger.entry_count == 132
+    # the closure of orbit complete:24 fits in 5,000 entries (2,739 at its
+    # peak); the center's null-space ledger needs 8,351 and must give up,
+    # naming its stage
+    report = generate_dla_orbit_compressed(Graph.complete(24), memory_budget=5_000)
+    assert report.ledger.entry_count == 2_662
     with pytest.raises(ResourceBudgetError, match="center stage"):
         center(report)
 
 
 def test_center_fits_the_budget_of_the_center_rank():
-    """On orbit complete:28 the center rank's ledger peaks at 41,003
+    """On orbit complete:28 the center rank's ledger peaks at 40,899
     entries; the center basis fits in that budget too."""
-    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=41_003)
+    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=40_899)
     assert center_dimension(report) == 1
     (z,) = center(report)
     assert all(not ad(z) for ad in report._adjoints)
 
 
 def test_center_and_ideal_fit_where_the_closure_fits():
-    """The center and ideal ledgers rank the closure's rows largest pivot
-    first.  On g2-n5 (dimension 295) that center ledger peaks at 5,485
-    entries; over the vectors as the closure first inserted them, before
-    back-substitution reduced them, it needs 22,353, over this budget."""
+    """The center and ideal rank the images of the closure's rows in
+    pivot coordinates.  On g2-n5 (dimension 295) the closure peaks at
+    7,390 entries, and the center and ideal ledgers at 3,078 and 640."""
     g2 = Graph(5, [(0, 2), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)])
     report = generate_dla(maxcut_generators(g2), memory_budget=10_000)
     assert report.dimension == 295
     assert center_dimension(report) == 1
     assert ideal_dimension(report) == 294
+
+
+def _case(graph, name, orbit=False):
+    return pytest.param(graph, orbit, id=f"{'orbit' if orbit else 'raw'}-{name}")
+
+
+def _report(graph, orbit):
+    if orbit:
+        return generate_dla_orbit_compressed(graph)
+    return generate_dla(maxcut_generators(graph))
+
+
+def _full_center_rank(report):
+    """Rank of the stacked map b -> ([G_j, b])_j in the closure's own
+    coordinates, keyed by (j, key)."""
+    return span_ledger(
+        {(j, k): c for j, ad in enumerate(report._adjoints) for k, c in ad(b).items()}
+        for b in report.ledger.rows
+    ).rank
+
+
+@pytest.mark.parametrize(
+    "graph, orbit",
+    [_case(Graph.path(n), f"path-{n}") for n in range(2, 9)]
+    + [_case(Graph.cycle(n), f"cycle-{n}") for n in range(3, 9)]
+    + [_case(Graph.complete(n), f"complete-{n}") for n in range(3, 8)]
+    + [_case(*p.values, p.id) for p in _corpus_graphs()]
+    + [_case(Graph.complete(n), f"complete-{n}", True) for n in range(4, 17)]
+    + [_case(Graph.cycle(n), f"cycle-{n}", True) for n in range(3, 13)],
+)
+def test_pivot_coordinate_ranks_match_full_coordinates(graph, orbit):
+    """The center and ideal ranks in pivot coordinates equal the ranks of
+    the same images over every key."""
+    report = _report(graph, orbit)
+    assert ideal_dimension(report) == ideal_ledger(report).rank
+    assert center_dimension(report) == report.dimension - _full_center_rank(report)
+
+
+@pytest.mark.parametrize(
+    "graph, orbit",
+    [_case(*p.values, p.id, orbit) for p in _corpus_graphs() for orbit in (False, True)],
+)
+def test_generator_images_of_the_basis_lie_in_the_span(graph, orbit):
+    """Every [G_j, b] lies in the closure's span: the fact that makes the
+    pivot coordinates exact."""
+    report = _report(graph, orbit)
+    for ad in report._adjoints:
+        for b in report.ledger.rows:
+            assert report.ledger.contains(ad(b))
 
 
 def test_reports_compare_by_span_rows():

@@ -184,6 +184,29 @@ def test_bracket_kernel_is_the_term_by_term_sum(case):
     assert list(pauli_bracket(n, u, v).items()) == list(expected.items())
 
 
+@settings(BOUNDED, max_examples=200)
+@given(packed_pauli_dicts(), st.data())
+def test_bracket_at_keys_is_the_filtered_bracket(case, data):
+    """Both ways of evaluating at keys: pairing each key with u's terms
+    (fewer keys than terms of v), and bracketing in full, then filtering."""
+    n, u, v = case
+    full = pauli_bracket(n, u, v)
+    hits = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
+    keys = hits | data.draw(st.sets(st.integers(0, 4**n - 1), max_size=8))
+    at = data.draw(st.sampled_from([keys, dict.fromkeys(keys, 0)]))
+    restricted = pauli_bracket(n, u, v, at=at)
+    assert restricted == {k: c for k, c in full.items() if k in keys}
+
+
+def test_bracket_at_keys_adds_in_the_order_of_u():
+    """Float sums round, so the order of the terms matters: on key 1 the
+    terms are -2e16, +2e16 and -2.0 in u's order, which sum to -2.0, while
+    the reverse order sums to zero."""
+    u, v = {4: 1e16, 5: 1e16, 6: 1.0}, {4: 1, 5: 1, 7: 1}
+    assert pauli_bracket(2, u, v)[1] == -2.0
+    assert pauli_bracket(2, u, v, at={1}) == {1: -2.0}
+
+
 def _reference_rows(vectors):
     """Plain Fraction elimination against every earlier pivot, ascending;
     each residual made primitive with a positive pivot (None if zero)."""

@@ -118,7 +118,7 @@ def test_compress_decompress_round_trip():
 
 def test_compress_rejects_non_invariant():
     group = PermGroup.dihedral(4)
-    lopsided = PauliVector.single_term(PauliString.from_label("YZII"))
+    lopsided = PauliVector(4, {PauliString.from_label("YZII"): 1})
     with pytest.raises(ValueError):
         compress(lopsided, group)
 
