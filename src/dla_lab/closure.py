@@ -219,6 +219,9 @@ class LinearLedger:
         The rows go in largest pivot first, so each is reduced against
         every larger pivot and no earlier row holds its smaller pivot key:
         the stored rows are the span's canonical primitive reduced rows.
+        A closure's reduced rows are its basis: any basis gives the same
+        ranks, and of the orders measured, largest pivot first ranks the
+        center and the ideal fastest.
         """
         out = LinearLedger(self.memory_budget)
         order = sorted(range(self.rank), key=self.pivots.__getitem__, reverse=True)
@@ -376,7 +379,7 @@ class DlaReport:
 
     @cached_property
     def basis(self) -> list:
-        return [_publish(self, d) for d in _basis_rows(self)]
+        return [_publish(self, d) for d in self.ledger.rows]
 
 
 def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport:
@@ -459,14 +462,6 @@ def generate_dla_orbit_compressed(
     return _closure_engine(n, "group-orbit", pairs, memory_budget)
 
 
-def _basis_rows(report: DlaReport) -> list[dict]:
-    """The closure's basis, and the one place that picks it: the report
-    ledger's reduced rows, which ``_closure_engine`` stores largest pivot
-    first.  Any basis gives the same ranks; of the orders measured, this
-    one ranks the center and ideal fastest."""
-    return report.ledger.rows
-
-
 def _combine_basis(rows: list[dict], combo: dict) -> dict:
     acc: dict = {}
     for i, c in combo.items():
@@ -542,7 +537,7 @@ def center(report: DlaReport) -> list:
     stacked maps v -> [G_j, v] restricted to the basis span, solved by
     :func:`nullspace_combos` under the report's memory budget.  Exact.
     """
-    rows = _basis_rows(report)
+    rows = report.ledger.rows
     with _stage("center"):
         combos = nullspace_combos(
             _center_map(report, rows), report.ledger.memory_budget
@@ -552,7 +547,7 @@ def center(report: DlaReport) -> list:
 
 def center_dimension(report: DlaReport) -> int:
     """dim of the center via the rank of the stacked adjoint map."""
-    stacked = _center_map(report, _basis_rows(report))
+    stacked = _center_map(report, report.ledger.rows)
     return report.dimension - _rank_ledger(report, "center", stacked).rank
 
 
@@ -565,8 +560,7 @@ def ideal_ledger(report: DlaReport) -> LinearLedger:
     of generators with closure elements.  Each call builds a fresh ledger;
     a caller that needs both the rank and membership tests builds it once.
     """
-    rows = _basis_rows(report)
-    brackets = (ad(b) for ad in report._adjoints for b in rows)
+    brackets = (ad(b) for ad in report._adjoints for b in report.ledger.rows)
     return _rank_ledger(report, "ideal", brackets)
 
 
@@ -583,7 +577,7 @@ def commutator_ideal(report: DlaReport) -> list:
 
 def ideal_dimension(report: DlaReport) -> int:
     """dim of [g, g]: the rank of the images [G_j, b] in pivot coordinates."""
-    rows = _basis_rows(report)
+    rows = report.ledger.rows
     images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
     return _rank_ledger(report, "ideal", images).rank
 

@@ -25,6 +25,12 @@ carry offset 0), so ``terms()`` is the sorted item list.  ``orbit_term``
 and ``coeff`` take kind names.  Coefficients are duck-typed: ints and
 Fractions for structural work, floats or complex for the trigonometric
 bases.  Builders grow their sums in place with ``accumulate``.
+
+Each ring orbit is an orbit of the dihedral group, so the one orbit map
+``symmetry.PackedOrbits`` of ``PermGroup.dihedral(n)`` names and lists it:
+``compressed`` keys a sum by packed canonical representatives, the
+coordinates of the orbit-compressed ring closure, and ``expand`` lists
+each orbit's members from the same map.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ import math
 from collections import namedtuple
 from functools import cache
 
-from .paulis import PauliString, PauliVector, SparseVector, ValueTuple
+from .paulis import PauliVector, SparseVector, ValueTuple, dict_to_pauli_vector
+from .symmetry import PackedOrbits, PermGroup
 
 _KINDS = ("X", "XN1", "ZXZ", "YXY", "YXZ")
 _KIND_INDEX = {k: i for i, k in enumerate(_KINDS)}
@@ -95,13 +102,17 @@ class CycleOrbitSum(SparseVector):
     def coeff(self, kind: str, offset: int = 0):
         return self._coeffs.get((_KIND_INDEX[kind], offset), 0)
 
+    def compressed(self) -> dict:
+        """The sum in the ring closure's own coordinates: the packed
+        canonical representative of each orbit -> its coefficient."""
+        orbits = _ring_orbits(self.n)
+        return {orbits.orbit(_orbit_member(self.n, key))[0]: c for key, c in self.terms()}
+
     def expand(self) -> PauliVector:
         """Expansion into raw Pauli strings, one unit per orbit member."""
-        acc = PauliVector(self.n)
-        for key, c in self.terms():
-            strings = _orbit_strings(self.n, key)
-            acc.accumulate(PauliVector(self.n, dict.fromkeys(strings, c)))
-        return acc
+        orbits = _ring_orbits(self.n)
+        members = {k: c for rep, c in self.compressed().items() for k in orbits.orbit(rep)[2]}
+        return dict_to_pauli_vector(self.n, members)
 
 
 def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
@@ -117,43 +128,25 @@ def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
     return CycleOrbitSum(n, {key: sign * coeff})
 
 
-def _ring_mask(n: int, start: int, count: int) -> int:
-    """Bit mask of `count` consecutive ring positions from `start`."""
-    m = 0
-    for i in range(count):
-        m |= 1 << ((start + i) % n)
-    return m
+@cache
+def _ring_orbits(n: int) -> PackedOrbits:
+    """The orbit map of ring size n: a ring orbit is a dihedral orbit."""
+    return PackedOrbits(PermGroup.dihedral(n))
 
 
-def _orbit_strings(n: int, key: tuple[int, int]) -> list[PauliString]:
-    out = []
+def _orbit_member(n: int, key: tuple[int, int]) -> int:
+    """The packed key of the member of orbit ``key`` that starts at qubit 0.
+
+    X is X_0 and XN1 is X on qubits 1..n-1; the endpoint families put
+    their ends on qubits 0 and t+1 (Y on qubit 0 for YXZ) and X between.
+    """
     i, t = key
-    kind = _KINDS[i]
-    if kind == "X":
-        for j in range(n):
-            out.append(PauliString(n, 1 << j, 0))
-    elif kind == "XN1":
-        full = (1 << n) - 1
-        for j in range(n):
-            out.append(PauliString(n, full ^ (1 << j), 0))
-    elif kind == "ZXZ":
-        for j in range(n):
-            ends = (1 << j) | (1 << ((j + t + 1) % n))
-            mid = _ring_mask(n, j + 1, t)
-            out.append(PauliString(n, mid, ends))
-    elif kind == "YXY":
-        for j in range(n):
-            ends = (1 << j) | (1 << ((j + t + 1) % n))
-            mid = _ring_mask(n, j + 1, t)
-            out.append(PauliString(n, mid | ends, ends))
-    else:  # YXZ, both orientations
-        for j in range(n):
-            a = 1 << j
-            b = 1 << ((j + t + 1) % n)
-            mid = _ring_mask(n, j + 1, t)
-            out.append(PauliString(n, mid | a, a | b))
-            out.append(PauliString(n, mid | b, a | b))
-    return out
+    if i < 2:
+        return (1 if i == 0 else (1 << n) - 2) << n
+    ends = 1 | 1 << (t + 1)
+    mid = (1 << (t + 1)) - 2
+    x = (mid, mid | ends, mid | 1)[i - 2]
+    return x << n | ends
 
 
 # ---------------------------------------------------------------------------

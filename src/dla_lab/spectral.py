@@ -32,6 +32,7 @@ overlap reduce to the same real coefficient dot product.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -298,10 +299,16 @@ def cycle_spectral_report(n: int, tolerance: float = 1e-9) -> SpectralReport:
     expanded explicit bases (whole-algebra orbit basis, center pair, su(2)
     triples) and the largest deviation from the closed forms is recorded;
     a deviation above ``tolerance`` raises ArithmeticError.  Beyond the
-    cap the closed forms are reported alone.
+    cap the closed forms are reported alone.  The measurement's purity is
+    2^n, so n must stay below the float exponent range (ValueError).
     """
     if n < 3:
         raise ValueError("cycle graphs need n >= 3")
+    if n >= sys.float_info.max_exp:
+        raise ValueError(
+            f"the cycle loss moments need n < {sys.float_info.max_exp}: "
+            f"the measurement's purity 2^n overflows a float (got n = {n})"
+        )
     whole, center, comps, expect, var = _closed_forms(n)
     residual = None
     if n <= RECOMPUTE_VERTEX_CAP:

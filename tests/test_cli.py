@@ -212,6 +212,21 @@ def test_variance_cycle_five(capsys):
     assert payload["variance"] == pytest.approx(8.0 / 15.0, abs=1e-11)
 
 
+def test_variance_stops_where_the_purity_overflows_a_float(capsys):
+    code, out, err = run(capsys, "variance", "--family", "cycle", "--n", "1024")
+    assert (code, out) == (2, "")
+    assert "n < 1024" in err
+    code, out, _ = run(capsys, "variance", "--family", "cycle", "--n", "1023")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["expectation"] == pytest.approx(1 / math.sqrt(1023), rel=1e-11)
+    assert payload["variance"] == pytest.approx(2 * 1022 / (3 * 1023), rel=1e-11)
+    purities = payload["per_component_purities"]
+    assert len(purities) == 1022
+    assert purities[0] == pytest.approx([2.0**-1021, 2.0**1023 / 1023], rel=1e-11)
+    assert purities[1] == pytest.approx([0.0, 2.0**1023 / 1023], rel=1e-11)
+
+
 def test_variance_rejects_other_families(capsys):
     code, _, err = run(capsys, "variance", "--family", "complete", "--n", "4")
     assert code == 2

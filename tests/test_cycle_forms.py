@@ -136,6 +136,35 @@ def test_cycle_basis_size_and_disjoint_supports(n):
         seen |= sup
 
 
+def test_expansion_labels_are_pinned():
+    """The eight strings of YXZ(1) on four qubits, written out by hand:
+    Y X Z and Z X Y on each arc of three, rotated around the ring."""
+    labels = {p.label(): c for p, c in orbit_term(4, "YXZ", 1).expand().terms()}
+    assert labels == dict.fromkeys(
+        ["YXZI", "IYXZ", "ZIYX", "XZIY", "ZXYI", "IZXY", "YIZX", "XYIZ"], 1
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_basis_orbit_keys_span_the_ring_closure(n):
+    from dla_lab import Graph, generate_dla_orbit_compressed
+    from dla_lab.closure import span_ledger
+
+    ledger = span_ledger(b.compressed() for b in cycle_basis(n))
+    assert ledger == generate_dla_orbit_compressed(Graph.cycle(n)).ledger
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_compressed_is_the_dihedral_compression_of_the_expansion(n):
+    from dla_lab.paulis import pack_pauli
+    from dla_lab.symmetry import PermGroup, compress
+
+    group = PermGroup.dihedral(n)
+    for b in [*cycle_basis(n), *cycle_center(n)]:
+        packed = {pack_pauli(p): c for p, c in compress(b.expand(), group).items()}
+        assert b.compressed() == packed
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_center_commutes_exactly(n):
     c1, c2 = cycle_center(n)
