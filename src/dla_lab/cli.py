@@ -477,16 +477,22 @@ _DISPATCH = {
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:  # False for nan
+        raise argparse.ArgumentTypeError("must be a finite positive number")
     return value
 
 

@@ -41,7 +41,8 @@ types on first access.
 The center and the ideal are ranked in the basis's pivot coordinates: an
 image [G_j, b] lies in the algebra, and the reduced rows are triangular at
 their pivot keys, so an image restricted to the d pivot keys loses nothing.
-Raw images are evaluated at the pivots only (``pauli_bracket``'s ``at``).
+Raw images are evaluated at the pivots only (``pauli_bracket``'s ``at``)
+when the pivots are fewer than the row's terms.
 The center's basis is ``nullspace_combos`` of the stacked restricted
 images, and every stage runs under the closure's memory budget.
 ``ideal_ledger`` keeps [g, g] in the closure's own coordinates, for
@@ -490,11 +491,13 @@ def _pivot_image(report: DlaReport, ad, b: dict, block: int = 0) -> dict:
     lies in the algebra, since the closure reduced each generator image of
     its rows into the ledger.  Ranks and null spaces of the images are
     therefore the same as in full coordinates.  A raw image is evaluated at
-    the pivots only; orbit and type images are filtered as they are read.
+    the pivots only when they are fewer than b's terms; every other image
+    is filtered as it is read.
     """
     index = report.ledger._pivot_row  # pivot key -> row, largest pivot first
     top = (block + 1) * report.dimension - 1
-    image = ad(b, at=index) if report.coords == "pauli" else ad(b)
+    restrict = report.coords == "pauli" and len(index) < len(b)
+    image = ad(b, at=index) if restrict else ad(b)
     out = {}
     for k, c in image.items():
         i = index.get(k)

@@ -120,6 +120,15 @@ def _types_in_range(n: int) -> list[tuple[int, int, int]]:
     ]
 
 
+def _assemble(n: int, bare: list, field_sources: list, cut_sources: list) -> list:
+    """The bare triples, then the ad_field images of ``field_sources``,
+    then the ad_cut images of ``cut_sources``."""
+    out = [sym_term(n, *t) for t in bare]
+    out += [ad_field(sym_term(n, *t)) for t in field_sources]
+    out += [ad_cut(sym_term(n, *t)) for t in cut_sources]
+    return out
+
+
 def kn_basis(n: int) -> list[SymOrbitSum]:
     """Explicit basis of the all-to-all closure in type coordinates.
 
@@ -130,7 +139,6 @@ def kn_basis(n: int) -> list[SymOrbitSum]:
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
     types = _types_in_range(n)
-    out = []
     if n % 2 == 0:
         j1 = [
             t
@@ -155,39 +163,27 @@ def kn_basis(n: int) -> list[SymOrbitSum]:
             if t[0] % 2 == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
         ]
         j5 = [(0, 1, 1), (0, 2, 0), (0, 0, 2)]
-        for t in j1 + j2 + j3 + j4 + j5:
-            out.append(sym_term(n, *t))
-        for t in j1:
-            out.append(ad_field(sym_term(n, *t)))
-        for t in j2:
-            out.append(ad_cut(sym_term(n, *t)))
-    else:
-        q_bare = [t for t in types if t[1] % 2 == 1 and t[2] % 2 == 1]
-        q_bare += [
-            t
-            for t in types
-            if t[0] == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
-        ]
-        q_bare += [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-        u1 = [
-            t
-            for t in types
-            if t[1] % 2 == 1 and t[2] % 2 == 1 and t[0] != 1
-            and t != (0, 1, 1)
-        ]
-        u2 = [
-            t
-            for t in types
-            if t[1] == 1 and t[2] % 2 == 1 and t[0] >= 1
-            and t != (1, 1, n - 2)
-        ]
-        for t in q_bare:
-            out.append(sym_term(n, *t))
-        for t in u1:
-            out.append(ad_field(sym_term(n, *t)))
-        for t in u2:
-            out.append(ad_cut(sym_term(n, *t)))
-    return out
+        return _assemble(n, j1 + j2 + j3 + j4 + j5, j1, j2)
+    q_bare = [t for t in types if t[1] % 2 == 1 and t[2] % 2 == 1]
+    q_bare += [
+        t
+        for t in types
+        if t[0] == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
+    ]
+    q_bare += [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    u1 = [
+        t
+        for t in types
+        if t[1] % 2 == 1 and t[2] % 2 == 1 and t[0] != 1
+        and t != (0, 1, 1)
+    ]
+    u2 = [
+        t
+        for t in types
+        if t[1] == 1 and t[2] % 2 == 1 and t[0] >= 1
+        and t != (1, 1, n - 2)
+    ]
+    return _assemble(n, q_bare, u1, u2)
 
 
 def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
@@ -202,10 +198,7 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
     types = _types_in_range(n)
     k_family = [t for t in types if t[1] % 2 == 1 and t[2] % 2 == 1]
     cut_sources = [t for t in types if t[1] == 1 and t[2] % 2 == 1]
-    out = [sym_term(n, *t) for t in k_family]
-    out += [ad_field(sym_term(n, *t)) for t in k_family]
-    out += [ad_cut(sym_term(n, *t)) for t in cut_sources]
-    return out
+    return _assemble(n, k_family, k_family, cut_sources)
 
 
 def fact_suite(

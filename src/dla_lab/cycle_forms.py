@@ -14,9 +14,10 @@ ring of n qubits (n >= 3).  Five orbit families appear:
 Offsets outside 0..n-2 fold back into this vocabulary: YXY(-1) = -X and
 YXY(n-1) = ZXZ(n-1) = XN1, while YXZ vanishes at both walls; reflecting
 an offset past the far wall (t -> 2n - t - 2) swaps YXY with ZXZ and
-flips the sign of YXZ.  ``orbit_term`` and the per-ring-size folded
-structure-constant table behind ``orbit_bracket`` apply these
-reductions, so stored sums only ever hold canonical offsets.
+flips the sign of YXZ.  ``orbit_term`` and the folded structure-constant
+table behind ``orbit_bracket`` apply these reductions, so stored sums only
+ever hold canonical offsets.  The table is built whole for each ring size,
+keyed by pairs of stored keys.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
 (:class:`~dla_lab.paulis.SparseVector`) keyed by ``(kind index, offset)``
@@ -152,9 +153,6 @@ def _orbit_member(n: int, key: tuple[int, int]) -> int:
 # ---------------------------------------------------------------------------
 # bracket table
 
-# ``_folded_table(n)`` holds the closed-form structure constants of
-# ``_pair_bracket`` with ``_fold`` applied, one table per ring size n.
-
 
 def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
     """Structure constants of one orbit pair, as (coeff, kind, offset)."""
@@ -177,61 +175,46 @@ def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
     return []  # [YXZ, YXZ] vanishes
 
 
-def _as_endpoint_terms(v: CycleOrbitSum) -> list:
-    """Rewrite a sum over {X, XN1} into endpoint families for bracketing."""
-    n = v.n
-    out = []
-    for (i, offset), c in v.terms():
-        if i == 0:  # X
-            out.append(("YXY", -1, -c))
-        elif i == 1:  # XN1
-            out.append(("YXY", n - 1, c))
-        else:
-            out.append((_KINDS[i], offset, c))
-    return out
-
-
 @cache
 def _folded_table(n: int) -> dict:
-    """The folded structure constants of ring size n, filled on first use.
+    """The folded structure constants of ring size n, built whole.
 
-    Maps (kind1, s, kind2, t) to a tuple of (coeff, sign, key) entries,
-    one per non-vanishing term of ``_pair_bracket`` after ``_fold``.
+    Maps each pair of the 3n-1 stored keys to a tuple of (coeff, sign,
+    key) entries, one per non-vanishing term of ``_pair_bracket`` after
+    ``_fold``.  X enters as YXY(-1) = -X, so its coefficient is negated
+    by ``orbit_bracket``, not here; XN1 enters as YXY(n-1).
     """
-    return {}
-
-
-def _folded_pair(n: int, kind1: str, s: int, kind2: str, t: int) -> tuple:
-    """Fill and return one entry of ``_folded_table(n)``."""
-    entries = []
-    for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
-        folded = _fold(n, kind, offset)
-        if folded is not None:
-            entries.append((coeff, *folded))
-    _folded_table(n)[kind1, s, kind2, t] = entries = tuple(entries)
-    return entries
+    keys = [(0, 0), (1, 0)] + [(i, t) for t in range(n - 1) for i in (2, 3, 4)]
+    ends = {key: (_KINDS[key[0]], key[1]) for key in keys}
+    ends[0, 0] = ("YXY", -1)
+    ends[1, 0] = ("YXY", n - 1)
+    return {
+        (k1, k2): tuple(
+            (coeff, *folded)
+            for coeff, kind, offset in _pair_bracket(n, *ends[k1], *ends[k2])
+            if (folded := _fold(n, kind, offset)) is not None
+        )
+        for k1 in keys
+        for k2 in keys
+    }
 
 
 def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
     """Commutator of two ring-orbit sums, exact in the coefficients.
 
     Each output coefficient receives ``sign * (coeff * c1 * c2)`` for
-    every pair term in turn, the additions ``orbit_term`` and
-    ``accumulate`` would make, so float and complex results are
-    bit-for-bit those of the term-by-term sum.
+    every pair term in turn, X's coefficient negated, the additions
+    ``orbit_term`` and ``accumulate`` would make, so float and complex
+    results are bit-for-bit those of the term-by-term sum.
     """
     if a.n != b.n:
         raise ValueError("mismatched ring sizes")
-    n = a.n
-    pairs = _folded_table(n)
-    rhs = _as_endpoint_terms(b)
+    pairs = _folded_table(a.n)
+    lhs, rhs = ([(k, -c if k == (0, 0) else c) for k, c in v.terms()] for v in (a, b))
     acc = {}
-    for kind1, s, c1 in _as_endpoint_terms(a):
-        for kind2, t, c2 in rhs:
-            entries = pairs.get((kind1, s, kind2, t))
-            if entries is None:
-                entries = _folded_pair(n, kind1, s, kind2, t)
-            for coeff, sign, key in entries:
+    for k1, c1 in lhs:
+        for k2, c2 in rhs:
+            for coeff, sign, key in pairs[k1, k2]:
                 c = coeff * c1 * c2
                 if c == 0:
                     continue
@@ -240,7 +223,7 @@ def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
                     acc.pop(key, None)
                 else:
                     acc[key] = total
-    return CycleOrbitSum(n, acc)
+    return CycleOrbitSum(a.n, acc)
 
 
 def field_orbit(n: int) -> CycleOrbitSum:

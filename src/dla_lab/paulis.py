@@ -31,7 +31,8 @@ bracket kernel, on dicts keyed by packed ``(x_mask << n) | z_mask`` ints;
 :func:`commutator` and both closure engines call it.  It tests a pair with
 one popcount and computes the phase inline (the symplectic rule of Aaronson
 & Gottesman, 2004); :func:`phase_exponent` is its test oracle.  Given keys
-``at``, it returns only the bracket's terms on those keys.
+``at``, it pairs each key with u's terms and returns only the bracket's
+terms on those keys.
 """
 
 from __future__ import annotations
@@ -313,14 +314,12 @@ def pauli_bracket(n: int, u: dict, v: dict, at=None) -> dict:
     occur.
 
     With ``at`` (a set or dict of keys) only the bracket's terms on those
-    keys are returned.  When there are fewer keys than terms of v, each
-    key k is paired with every term ku of u, looking up ``v[k ^ ku]``;
-    each sum runs in u's order as in the full loop, so the result equals
-    the full bracket filtered to ``at`` for any coefficient type.
+    keys are returned: each key k is paired with every term ku of u,
+    looking up ``v[k ^ ku]``.  Each sum runs in u's order as in the full
+    loop, so the result equals the full bracket filtered to ``at`` for any
+    coefficient type.  That pays when the keys are fewer than v's terms.
     """
     if at is not None:
-        if len(at) >= len(v):
-            return {k: c for k, c in pauli_bracket(n, u, v).items() if k in at}
         return _bracket_at(n, u, v, at)
     mask = (1 << n) - 1
     acc: dict[int, object] = {}

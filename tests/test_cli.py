@@ -417,3 +417,37 @@ def test_kept_options_still_parse(capsys):
     )
     assert code == 0
     assert "variance" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-cycle", "--n", "4"),
+        ("verify-complete", "--n", "4"),
+        ("variance", "--family", "cycle", "--n", "4"),
+    ],
+)
+def test_tolerance_must_be_finite(capsys, argv, value):
+    """NaN passes no comparison and inf passes every one, and neither
+    is valid JSON in the payload, so both are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tolerance", value])
+    assert exc.value.code == 2
+    assert "--tolerance: must be a finite positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("compute", "--graph", "cycle:4", "--memory-budget", "1e3"), "--memory-budget"),
+        (("verify-cycle", "--n", "4", "--tolerance", "abc"), "--tolerance"),
+    ],
+)
+def test_unparsable_numbers_name_the_option(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be a" in err
+    assert "_positive" not in err

@@ -20,7 +20,6 @@ from dla_lab import (
     su2_basis,
 )
 from dla_lab.cycle_forms import (
-    _as_endpoint_terms,
     _folded_table,
     _pair_bracket,
     CycleOrbitSum,
@@ -201,12 +200,26 @@ def test_bracket_matches_expansion(n):
             )
 
 
+def _endpoint_terms(v):
+    """v's terms as (kind, offset, coeff) over the endpoint families:
+    X is -YXY(-1) and XN1 is YXY(n-1)."""
+    out = []
+    for (i, offset), c in v.terms():
+        if i == 0:
+            out.append(("YXY", -1, -c))
+        elif i == 1:
+            out.append(("YXY", v.n - 1, c))
+        else:
+            out.append((("ZXZ", "YXY", "YXZ")[i - 2], offset, c))
+    return out
+
+
 def _reference_bracket(a, b):
     """Term-by-term bracket: one folded ``orbit_term`` per pair term."""
     n = a.n
     acc = CycleOrbitSum.zero(n)
-    for kind1, s, c1 in _as_endpoint_terms(a):
-        for kind2, t, c2 in _as_endpoint_terms(b):
+    for kind1, s, c1 in _endpoint_terms(a):
+        for kind2, t, c2 in _endpoint_terms(b):
             for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
                 acc.accumulate(orbit_term(n, kind, offset, coeff * c1 * c2))
     return acc
@@ -231,6 +244,14 @@ def test_bracket_is_exactly_the_term_by_term_sum():
                 for a in mode:
                     for b in mode + following:
                         assert orbit_bracket(a, b) == _reference_bracket(a, b)
+
+
+def test_bracket_table_is_built_whole():
+    """One entry per pair of the 3n-1 stored keys, on first use."""
+    _folded_table.cache_clear()
+    for n in (3, 8):
+        orbit_bracket(field_orbit(n), cut_orbit(n))
+        assert len(_folded_table(n)) == (3 * n - 1) ** 2
 
 
 def test_power_rows_start_with_plain_commutator():

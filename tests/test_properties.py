@@ -187,8 +187,8 @@ def test_bracket_kernel_is_the_term_by_term_sum(case):
 @settings(BOUNDED, max_examples=200)
 @given(packed_pauli_dicts(), st.data())
 def test_bracket_at_keys_is_the_filtered_bracket(case, data):
-    """Both ways of evaluating at keys: pairing each key with u's terms
-    (fewer keys than terms of v), and bracketing in full, then filtering."""
+    """Pairing each key with u's terms gives the full bracket filtered to
+    the keys, whether the keys are fewer or more than the terms of v."""
     n, u, v = case
     full = pauli_bracket(n, u, v)
     hits = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
