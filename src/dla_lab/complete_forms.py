@@ -11,11 +11,13 @@ The two circuit generators act on type coordinates by the closed-form
 adjoint maps ``ad_field`` (the X orbit, preserving p and q+r) and
 ``ad_cut`` (the all-pairs ZZ orbit), shared with the closure engine.
 
+Every closed form here is stated over two parity families of triples:
+those with q and r both odd, and those with q and r both even.
 ``kn_basis`` and ``kn_ideal_basis`` build explicit bases of the closure
-and of its commutator ideal out of index families of triples plus
-adjoint images of some of them; ``fact_suite`` re-derives the membership
-statements behind those constructions directly against a computed
-closure span.
+and of its commutator ideal from filters of the two families, as bare
+triples and as adjoint images; ``fact_suite`` re-derives the membership
+statements behind those constructions, over the same filters, directly
+against a computed closure span.
 """
 
 from __future__ import annotations
@@ -111,13 +113,15 @@ def ad_cut(v: SymOrbitSum) -> SymOrbitSum:
     return SymOrbitSum(v.n, ad_cut_type(v.n, v.to_dict()))
 
 
-def _types_in_range(n: int) -> list[tuple[int, int, int]]:
-    return [
-        (p, q, r)
-        for p in range(n + 1)
-        for q in range(n + 1 - p)
-        for r in range(n + 1 - p - q)
-    ]
+def _yz_parity_families(n: int) -> tuple[list, list]:
+    """The in-range triples (p, q, r) with q and r both odd, and those with
+    q and r both even, each in (p, q, r) order."""
+    odd, even = [], []
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            for r in range(q % 2, n + 1 - p - q, 2):
+                (odd if q % 2 else even).append((p, q, r))
+    return odd, even
 
 
 def _assemble(n: int, bare: list, field_sources: list, cut_sources: list) -> list:
@@ -132,58 +136,29 @@ def _assemble(n: int, bare: list, field_sources: list, cut_sources: list) -> lis
 def kn_basis(n: int) -> list[SymOrbitSum]:
     """Explicit basis of the all-to-all closure in type coordinates.
 
-    Built from families of bare triples plus adjoint images of two of the
-    families; the even and odd vertex counts use different families.  The
-    list length always equals the closed-form dimension.
+    Bare triples: every triple with q and r both odd, the triples with q
+    and r both even and p odd (even n) or p = 1 (odd n), and the squares
+    (0, 2, 0), (0, 0, 2), plus (2, 0, 0) for odd n.  Then the ad_field
+    and ad_cut images of two sub-families of the odd class, which differ
+    with the parity of n.  The list length always equals the closed-form
+    dimension.
     """
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    types = _types_in_range(n)
+    odd, even = _yz_parity_families(n)
     if n % 2 == 0:
-        j1 = [
-            t
-            for t in types
-            if t[0] % 2 == 0 and t[1] % 2 == 1 and t[2] % 2 == 1
-            and t != (0, 1, 1)
+        bare = odd + [t for t in even if t[0] % 2 == 1]
+        bare += [(0, 2, 0), (0, 0, 2)]
+        field_sources = [t for t in odd if t[0] % 2 == 0 and t != (0, 1, 1)]
+        cut_sources = [t for t in odd if t[1] == 1 and t[0] % 2 == 1]
+    else:
+        bare = odd + [t for t in even if t[0] == 1]
+        bare += [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
+        field_sources = [t for t in odd if t[0] != 1 and t != (0, 1, 1)]
+        cut_sources = [
+            t for t in odd if t[1] == 1 and t[0] >= 1 and t != (1, 1, n - 2)
         ]
-        j2 = [
-            t
-            for t in types
-            if t[1] == 1 and t[0] % 2 == 1 and t[2] % 2 == 1
-        ]
-        j3 = [
-            t
-            for t in types
-            if t[0] % 2 == 1 and t[1] % 2 == 1 and t[2] % 2 == 1
-            and t[1] >= 3
-        ]
-        j4 = [
-            t
-            for t in types
-            if t[0] % 2 == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
-        ]
-        j5 = [(0, 1, 1), (0, 2, 0), (0, 0, 2)]
-        return _assemble(n, j1 + j2 + j3 + j4 + j5, j1, j2)
-    q_bare = [t for t in types if t[1] % 2 == 1 and t[2] % 2 == 1]
-    q_bare += [
-        t
-        for t in types
-        if t[0] == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
-    ]
-    q_bare += [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
-    u1 = [
-        t
-        for t in types
-        if t[1] % 2 == 1 and t[2] % 2 == 1 and t[0] != 1
-        and t != (0, 1, 1)
-    ]
-    u2 = [
-        t
-        for t in types
-        if t[1] == 1 and t[2] % 2 == 1 and t[0] >= 1
-        and t != (1, 1, n - 2)
-    ]
-    return _assemble(n, q_bare, u1, u2)
+    return _assemble(n, bare, field_sources, cut_sources)
 
 
 def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
@@ -195,10 +170,8 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
     """
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    types = _types_in_range(n)
-    k_family = [t for t in types if t[1] % 2 == 1 and t[2] % 2 == 1]
-    cut_sources = [t for t in types if t[1] == 1 and t[2] % 2 == 1]
-    return _assemble(n, k_family, k_family, cut_sources)
+    odd, _ = _yz_parity_families(n)
+    return _assemble(n, odd, odd, [t for t in odd if t[1] == 1])
 
 
 def fact_suite(
@@ -208,7 +181,8 @@ def fact_suite(
 ) -> dict[str, bool]:
     """Re-derive the membership facts behind the explicit bases.
 
-    Each entry tests a family of triples for membership in the computed
+    Each entry tests a family of triples, a filter of the same two parity
+    families the bases are built from, for membership in the computed
     closure span of K_n (or its commutator ideal) and reports whether
     every member passed; the two negative controls must stay outside.
     ``ideal`` is the report's commutator-ideal ledger and ``spanners`` the
@@ -216,38 +190,26 @@ def fact_suite(
     """
     n = report.n
     span = report.ledger
-    types = _types_in_range(n)
+    odd, even = _yz_parity_families(n)
     results = {}
 
-    mixed = [t for t in types if t[1] % 2 == 1 and t[2] % 2 == 1]
-    results["odd-yz-pairs-in-span"] = all(
-        span.contains({t: 1}) for t in mixed
-    )
-    chains = [
-        t for t in mixed if t[0] <= 1 and t[1] == 1
-    ]  # (0,1,r) and (1,1,r), r odd
+    results["odd-yz-pairs-in-span"] = all(span.contains({t: 1}) for t in odd)
+    # (0, 1, r) and (1, 1, r), r odd
+    chains = [t for t in odd if t[0] <= 1 and t[1] == 1]
     results["y-and-xy-chains-in-ideal"] = all(
         ideal.contains({t: 1}) for t in chains
     )
-    x_even_z = [t for t in types if t[0] == 1 and t[1] == 0 and t[2] % 2 == 0]
+    x_even_z = [t for t in even if t[0] == 1 and t[1] == 0]
     results["x-with-even-z-in-span"] = all(
         span.contains({t: 1}) for t in x_even_z
     )
     if n % 2 == 0:
-        fam = [
-            t
-            for t in types
-            if t[0] % 2 == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
-        ]
+        fam = [t for t in even if t[0] % 2 == 1]
         results["odd-x-even-rest-in-span"] = all(
             span.contains({t: 1}) for t in fam
         )
     else:
-        fam = [
-            t
-            for t in types
-            if t[0] == 1 and t[1] % 2 == 0 and t[2] % 2 == 0
-        ]
+        fam = [t for t in even if t[0] == 1]
         results["x-with-even-pairs-in-span"] = all(
             span.contains({t: 1}) for t in fam
         )

@@ -252,28 +252,22 @@ def cycle_basis(n: int) -> list[CycleOrbitSum]:
 def cycle_center(n: int) -> tuple[CycleOrbitSum, CycleOrbitSum]:
     """The two central elements of the ring closure, exact integers.
 
-    Both commute with the two generators (hence everything); they have
-    disjoint orbit supports, so they are independent and orthogonal.
+    For offset parity 1, then 0: -X (parity 1 only), plus XN1 when n - 1
+    has that parity, plus ZXZ(t) + YXY(t) for every offset t of that
+    parity.  Both commute with the two generators (hence everything);
+    they have disjoint orbit supports, so they are independent and
+    orthogonal.
     """
-    if n % 2 == 1:
-        c1 = orbit_term(n, "X", coeff=-1)
-        for t in range(1, (n - 1) // 2 + 1):
-            c1.accumulate(orbit_term(n, "ZXZ", 2 * t - 1))
-            c1.accumulate(orbit_term(n, "YXY", 2 * t - 1))
-        c2 = orbit_term(n, "XN1")
-        for t in range((n - 3) // 2 + 1):
-            c2.accumulate(orbit_term(n, "ZXZ", 2 * t))
-            c2.accumulate(orbit_term(n, "YXY", 2 * t))
-    else:
-        c1 = orbit_term(n, "XN1") - orbit_term(n, "X")
-        for t in range(1, (n - 2) // 2 + 1):
-            c1.accumulate(orbit_term(n, "ZXZ", 2 * t - 1))
-            c1.accumulate(orbit_term(n, "YXY", 2 * t - 1))
-        c2 = CycleOrbitSum.zero(n)
-        for t in range((n - 2) // 2 + 1):
-            c2.accumulate(orbit_term(n, "ZXZ", 2 * t))
-            c2.accumulate(orbit_term(n, "YXY", 2 * t))
-    return c1, c2
+    center = []
+    for parity in (1, 0):
+        c = orbit_term(n, "X", coeff=-parity)
+        if (n - 1) % 2 == parity:
+            c.accumulate(orbit_term(n, "XN1"))
+        for t in range(parity, n - 1, 2):
+            c.accumulate(orbit_term(n, "ZXZ", t))
+            c.accumulate(orbit_term(n, "YXY", t))
+        center.append(c)
+    return tuple(center)
 
 
 # ---------------------------------------------------------------------------

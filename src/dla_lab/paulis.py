@@ -38,7 +38,6 @@ terms on those keys.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 _CHAR_OF_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_OF_CHAR = {c: b for b, c in _CHAR_OF_BITS.items()}
@@ -395,12 +394,3 @@ def hs_inner(a: SparseVector, b: SparseVector):
         if d is not None:
             total += c * d
     return (1 << a.n) * total
-
-
-def rationalize(value) -> Fraction:
-    """Coerce an exact coefficient to Fraction (rejects floats)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact rational required, got {type(value).__name__}")

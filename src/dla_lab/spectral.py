@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .cycle_forms import cycle_basis, cycle_center, su2_basis
 from .graphs import Graph
-from .paulis import PauliString, PauliVector, SparseVector, ValueTuple, hs_inner, rationalize
+from .paulis import PauliString, PauliVector, SparseVector, ValueTuple, hs_inner
 
 #: largest n for which ``plus_state`` will build its 2^n-term support
 PLUS_STATE_VERTEX_CAP = 20
@@ -107,32 +107,12 @@ def _pairwise_orthogonal(basis: list[PauliVector], tolerance: float) -> bool:
     return True
 
 
-def _orthogonalize_exact(basis: list[PauliVector]) -> list[PauliVector]:
-    """Gram-Schmidt over exact rationals; raises TypeError on floats."""
-    ortho: list[PauliVector] = []
-    for b in basis:
-        w = PauliVector(b.n, {p: rationalize(c) for p, c in b.terms()})
-        for v in ortho:
-            ip = hs_inner(v, w)
-            if ip:
-                w = w - v.scaled(Fraction(ip) / Fraction(hs_inner(v, v)))
-        if not w.is_zero():
-            ortho.append(w)
-    return ortho
-
-
 def _prepare_basis(
     basis: list[PauliVector], tolerance: float
 ) -> list[PauliVector]:
     basis = [b for b in basis if not b.is_zero()]
     if len(basis) > 1 and not _pairwise_orthogonal(basis, tolerance):
-        try:
-            basis = _orthogonalize_exact(basis)
-        except TypeError:
-            raise ValueError(
-                "basis is not pairwise orthogonal and has non-rational "
-                "coefficients, so exact re-orthogonalization is unavailable"
-            ) from None
+        raise ValueError("basis is not pairwise orthogonal")
     return basis
 
 
@@ -157,11 +137,10 @@ def purity(
 
     Computed entirely in coefficient space as
     ``sum_j <B_j, H>^2 / <B_j, B_j>`` over an orthogonal basis, which is
-    :func:`expectation` of ``h`` paired with itself.  The basis
-    is checked for pairwise orthogonality; a non-orthogonal basis with
-    exact rational coefficients is re-orthogonalized by Gram-Schmidt,
-    anything else is rejected.  Returns an exact rational when every
-    input coefficient is exact, a float otherwise.
+    :func:`expectation` of ``h`` paired with itself.  Zero vectors are
+    dropped, and a basis that is not pairwise orthogonal within
+    ``tolerance`` raises ValueError.  Returns an exact rational when
+    every input coefficient is exact, a float otherwise.
     """
     return expectation(h, h, basis, tolerance)
 
@@ -275,9 +254,16 @@ def _closed_forms(n: int):
 def _recomputed_forms(n: int, tolerance: float):
     rho = plus_state(n)
     obs = cut_observable(Graph.cycle(n))
-    # each basis is prepared (checked for orthogonality) once
+    # each basis is expanded and checked for orthogonality once; failing
+    # the check means the tolerance is below round-off, not a bad input
     def prepared(elements) -> list[PauliVector]:
-        return _prepare_basis([e.expand() for e in elements], tolerance)
+        basis = [e.expand() for e in elements]
+        if not _pairwise_orthogonal(basis, tolerance):
+            raise ArithmeticError(
+                f"the n={n} closed-form bases are not pairwise orthogonal "
+                f"within tolerance {tolerance!r}"
+            )
+        return basis
 
     def purities(basis) -> PurityPair:
         return PurityPair(

@@ -342,6 +342,17 @@ def test_a_broken_center_ideal_split_fails_verification(capsys, monkeypatch, arg
     )
 
 
+
+def test_variance_below_round_off_is_a_verification_failure(capsys):
+    """A tolerance tighter than float round-off fails the recompute's
+    orthogonality check: exit 1, naming n and the tolerance."""
+    code, out, err = run(
+        capsys, "variance", "--family", "cycle", "--n", "6", "--tolerance", "1e-16"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: ")
+    assert "n=6" in err and "1e-16" in err
+
 def test_bad_graph_spec(capsys):
     code, _, err = run(capsys, "compute", "--graph", "blob:9")
     assert code == 2

@@ -90,6 +90,101 @@ def test_explicit_basis_length_matches_formula(n):
     assert len(kn_ideal_basis(n)) == kn_formulas(n)["ideal_dim"]
 
 
+# each basis as a sorted list of its vectors' sorted (triple, coeff) items:
+# 15 and 24 vectors for kn_basis, 14 and 22 for kn_ideal_basis
+BASIS_PINS = {
+    (kn_basis, 4): [
+        [((0, 0, 2), 1)],
+        [((0, 0, 4), -8), ((0, 2, 2), 4)],
+        [((0, 1, 1), 1)],
+        [((0, 1, 3), 1)],
+        [((0, 2, 0), -8), ((0, 2, 2), -8), ((2, 0, 0), 8), ((2, 0, 2), 8)],
+        [((0, 2, 0), 1)],
+        [((0, 2, 2), -4), ((0, 4, 0), 8)],
+        [((0, 3, 1), 1)],
+        [((1, 0, 0), 1)],
+        [((1, 0, 2), 1)],
+        [((1, 1, 1), 1)],
+        [((1, 2, 0), 1)],
+        [((2, 0, 2), -4), ((2, 2, 0), 4)],
+        [((2, 1, 1), 1)],
+        [((3, 0, 0), 1)],
+    ],
+    (kn_basis, 5): [
+        [((0, 0, 2), 1)],
+        [((0, 0, 4), -8), ((0, 2, 2), 4)],
+        [((0, 1, 1), 1)],
+        [((0, 1, 3), 1)],
+        [((0, 2, 0), -12), ((0, 2, 2), -8), ((2, 0, 0), 12), ((2, 0, 2), 8)],
+        [((0, 2, 0), 1)],
+        [((0, 2, 2), -4), ((0, 4, 0), 8)],
+        [((0, 3, 1), 1)],
+        [((1, 0, 0), 1)],
+        [((1, 0, 2), 1)],
+        [((1, 0, 4), 1)],
+        [((1, 1, 1), 1)],
+        [((1, 1, 3), 1)],
+        [((1, 2, 0), -8), ((1, 2, 2), -8), ((3, 0, 0), 12), ((3, 0, 2), 12)],
+        [((1, 2, 0), 1)],
+        [((1, 2, 2), 1)],
+        [((1, 3, 1), 1)],
+        [((1, 4, 0), 1)],
+        [((2, 0, 0), 1)],
+        [((2, 0, 2), -4), ((2, 2, 0), 4)],
+        [((2, 1, 1), 1)],
+        [((2, 2, 0), -4), ((4, 0, 0), 8)],
+        [((3, 0, 2), -4), ((3, 2, 0), 4)],
+        [((3, 1, 1), 1)],
+    ],
+    (kn_ideal_basis, 4): [
+        [((0, 0, 2), -4), ((0, 2, 0), 4)],
+        [((0, 0, 4), -8), ((0, 2, 2), 4)],
+        [((0, 1, 1), 1)],
+        [((0, 1, 3), 1)],
+        [((0, 2, 0), -8), ((0, 2, 2), -8), ((2, 0, 0), 8), ((2, 0, 2), 8)],
+        [((0, 2, 2), -4), ((0, 4, 0), 8)],
+        [((0, 3, 1), 1)],
+        [((1, 0, 0), 6), ((1, 0, 2), 4)],
+        [((1, 0, 2), -4), ((1, 2, 0), 4)],
+        [((1, 0, 2), 2)],
+        [((1, 1, 1), 1)],
+        [((1, 2, 0), -4), ((3, 0, 0), 6)],
+        [((2, 0, 2), -4), ((2, 2, 0), 4)],
+        [((2, 1, 1), 1)],
+    ],
+    (kn_ideal_basis, 5): [
+        [((0, 0, 2), -4), ((0, 2, 0), 4)],
+        [((0, 0, 4), -8), ((0, 2, 2), 4)],
+        [((0, 1, 1), 1)],
+        [((0, 1, 3), 1)],
+        [((0, 2, 0), -12), ((0, 2, 2), -8), ((2, 0, 0), 12), ((2, 0, 2), 8)],
+        [((0, 2, 2), -4), ((0, 4, 0), 8)],
+        [((0, 2, 2), -4), ((2, 0, 2), 4)],
+        [((0, 3, 1), 1)],
+        [((1, 0, 0), 8), ((1, 0, 2), 4)],
+        [((1, 0, 2), -4), ((1, 2, 0), 4)],
+        [((1, 0, 2), 4), ((1, 0, 4), 8)],
+        [((1, 0, 4), -8), ((1, 2, 2), 4)],
+        [((1, 1, 1), 1)],
+        [((1, 1, 3), 1)],
+        [((1, 2, 0), -8), ((1, 2, 2), -8), ((3, 0, 0), 12), ((3, 0, 2), 12)],
+        [((1, 2, 2), -4), ((1, 4, 0), 8)],
+        [((1, 3, 1), 1)],
+        [((2, 0, 2), -4), ((2, 2, 0), 4)],
+        [((2, 1, 1), 1)],
+        [((2, 2, 0), -4), ((4, 0, 0), 8)],
+        [((3, 0, 2), -4), ((3, 2, 0), 4)],
+        [((3, 1, 1), 1)],
+    ],
+}
+
+
+@pytest.mark.parametrize("build, n", list(BASIS_PINS))
+def test_explicit_bases_pinned(build, n):
+    got = sorted(sorted(v.to_dict().items()) for v in build(n))
+    assert got == BASIS_PINS[build, n]
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_explicit_basis_spans_the_closure(n):
     report = generate_dla_orbit_compressed(Graph.complete(n))

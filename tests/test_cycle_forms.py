@@ -59,6 +59,18 @@ def test_orbit_sum_repr_pins_kind_order_and_labels():
     assert repr(cycle_center(4)[0]) == (
         "CycleOrbitSum(n=4, -1*X + 1*XN1 + 1*ZXZ(1) + 1*YXY(1))"
     )
+    assert [repr(c) for c in cycle_center(6)] == [
+        "CycleOrbitSum(n=6, -1*X + 1*XN1 + 1*ZXZ(1) + 1*ZXZ(3) + 1*YXY(1)"
+        " + 1*YXY(3))",
+        "CycleOrbitSum(n=6, 1*ZXZ(0) + 1*ZXZ(2) + 1*ZXZ(4) + 1*YXY(0) + 1*YXY(2)"
+        " + 1*YXY(4))",
+    ]
+    assert [repr(c) for c in cycle_center(7)] == [
+        "CycleOrbitSum(n=7, -1*X + 1*ZXZ(1) + 1*ZXZ(3) + 1*ZXZ(5) + 1*YXY(1)"
+        " + 1*YXY(3) + 1*YXY(5))",
+        "CycleOrbitSum(n=7, 1*XN1 + 1*ZXZ(0) + 1*ZXZ(2) + 1*ZXZ(4) + 1*YXY(0)"
+        " + 1*YXY(2) + 1*YXY(4))",
+    ]
     assert repr(orbit_term(4, "YXZ", 2, 3)) == "CycleOrbitSum(n=4, 3*YXZ(2))"
 
 

@@ -19,7 +19,6 @@ from dla_lab.paulis import (
     multiply,
     pauli_type,
     phase_exponent,
-    rationalize,
 )
 from dla_lab.spectral import HermitianVector
 
@@ -181,10 +180,3 @@ def test_hs_inner_orthogonality():
     assert hs_inner(vp, vq) == 0
     v = PauliVector(3, {p: 2, q: Fraction(1, 2)})
     assert hs_inner(v, v) == 8 * (4 + Fraction(1, 4))
-
-
-def test_rationalize():
-    assert rationalize(3) == Fraction(3)
-    assert rationalize(Fraction(2, 7)) == Fraction(2, 7)
-    with pytest.raises(TypeError):
-        rationalize(0.5)

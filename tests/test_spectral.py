@@ -84,7 +84,7 @@ def test_purity_is_exact_for_rational_inputs():
 
 
 def test_purity_gram_schmidt_fallback():
-    """A non-orthogonal rational basis is re-orthogonalized, not rejected."""
+    """A non-orthogonal basis is refused, rational or float alike."""
     n = 3
     xii = PauliVector(n, {PauliString.from_label("XII"): 1})
     mixed = PauliVector(
@@ -95,8 +95,9 @@ def test_purity_gram_schmidt_fallback():
         },
     )
     h = HermitianVector(n, {PauliString.from_label("IXI"): Fraction(1, 2)})
-    assert purity(h, [xii, mixed]) == 2
-    # ... but a float basis with the same defect is refused
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
+        purity(h, [xii, mixed])
+    # a float basis with the same defect is refused the same way
     fuzzy = PauliVector(
         n,
         {
@@ -104,7 +105,7 @@ def test_purity_gram_schmidt_fallback():
             PauliString.from_label("IXI"): 1.0,
         },
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
         purity(h, [xii.scaled(1.0), fuzzy])
 
 
