@@ -46,7 +46,7 @@ from .closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
-    ideal_ledger,
+    pivot_ideal_ledger,
     span_ledger,
 )
 from .graphs import Graph, dimension_bounds, kn_formulas, maxcut_generators, parse_graph_spec
@@ -337,7 +337,7 @@ def cmd_verify_complete(args: argparse.Namespace) -> int:
         cdim == forms["center_dim"],
         float(abs(cdim - forms["center_dim"])),
     )
-    ideal = ideal_ledger(report)
+    ideal = pivot_ideal_ledger(report)
     idim = ideal.rank
     checks.add(
         "ideal-dimension-formula",

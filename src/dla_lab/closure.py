@@ -45,8 +45,9 @@ Raw images are evaluated at the pivots only (``pauli_bracket``'s ``at``)
 when the pivots are fewer than the row's terms.
 The center's basis is ``nullspace_combos`` of the stacked restricted
 images, and every stage runs under the closure's memory budget.
-``ideal_ledger`` keeps [g, g] in the closure's own coordinates, for
-membership tests of arbitrary vectors.
+[g, g] is kept once, as ``pivot_ideal_ledger``: ``ideal_dimension`` is
+its rank, ``in_ideal`` tests a vector of the algebra by its restriction,
+and ``commutator_ideal`` lifts its rows back to the closure's coordinates.
 """
 
 from __future__ import annotations
@@ -479,31 +480,35 @@ def _publish(report: DlaReport, d: dict):
     return dict(d)
 
 
-def _pivot_image(report: DlaReport, ad, b: dict, block: int = 0) -> dict:
-    """[G_j, b] in the basis's pivot coordinates: its coefficient on the
-    m-th smallest pivot key goes to key ``block * dim + m``.  The keys keep
-    the order of the pivots they stand for: in the reverse order the
-    elimination fills in, and orbit complete:28's center rank took 16
-    times as long.
+def _restrict(report: DlaReport, vec: dict, block: int = 0) -> dict:
+    """vec in the basis's pivot coordinates: its coefficient on the m-th
+    smallest pivot key goes to key ``block * dim + m``, every other key is
+    dropped.  The keys keep the order of the pivots they stand for: in the
+    reverse order the elimination fills in, and orbit complete:28's center
+    rank took 16 times as long.
 
     The reduced rows are triangular at their pivot keys, so restricting to
     those keys is one-to-one on the algebra; every image of a basis row
     lies in the algebra, since the closure reduced each generator image of
     its rows into the ledger.  Ranks and null spaces of the images are
-    therefore the same as in full coordinates.  A raw image is evaluated at
-    the pivots only when they are fewer than b's terms; every other image
-    is filtered as it is read.
+    therefore the same as in full coordinates.
     """
     index = report.ledger._pivot_row  # pivot key -> row, largest pivot first
     top = (block + 1) * report.dimension - 1
-    restrict = report.coords == "pauli" and len(index) < len(b)
-    image = ad(b, at=index) if restrict else ad(b)
     out = {}
-    for k, c in image.items():
+    for k, c in vec.items():
         i = index.get(k)
         if i is not None:
             out[top - i] = c
     return out
+
+
+def _pivot_image(report: DlaReport, ad, b: dict, block: int = 0) -> dict:
+    """``_restrict`` of [G_j, b], a raw one evaluated at the pivots only
+    when they are fewer than b's terms."""
+    index = report.ledger._pivot_row
+    at_pivots = report.coords == "pauli" and len(index) < len(b)
+    return _restrict(report, ad(b, at=index) if at_pivots else ad(b), block)
 
 
 def _center_map(report: DlaReport, rows: list[dict]):
@@ -554,35 +559,52 @@ def center_dimension(report: DlaReport) -> int:
     return report.dimension - _rank_ledger(report, "center", stacked).rank
 
 
-def ideal_ledger(report: DlaReport) -> LinearLedger:
-    """Ledger spanning [g, g] = span{[G_j, b] : b in basis}, in the
-    closure's own coordinates, for membership tests.
+def pivot_ideal_ledger(report: DlaReport) -> LinearLedger:
+    """Ledger spanning [g, g] = span{[G_j, b] : b in basis}, in the basis's
+    pivot coordinates; its rank, membership tests and basis all read it.
 
     For a generated algebra this bracket stream spans the full ideal: by
     Jacobi induction any [u, v] with u, v in the closure reduces to brackets
     of generators with closure elements.  Each call builds a fresh ledger;
     a caller that needs both the rank and membership tests builds it once.
     """
-    brackets = (ad(b) for ad in report._adjoints for b in report.ledger.rows)
-    return _rank_ledger(report, "ideal", brackets)
-
-
-def commutator_ideal(report: DlaReport) -> list:
-    """Independent spanning set of [g, g]: the rows of its ledger.
-
-    Raises ArithmeticError unless the exact splitting
-    dim(center) + dim(ideal) == dim(g) holds.
-    """
-    led = ideal_ledger(report)
-    check_split(report, center_dimension(report), led.rank)
-    return [_publish(report, row) for row in led.rows]
+    rows = report.ledger.rows
+    images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
+    return _rank_ledger(report, "ideal", images)
 
 
 def ideal_dimension(report: DlaReport) -> int:
     """dim of [g, g]: the rank of the images [G_j, b] in pivot coordinates."""
-    rows = report.ledger.rows
-    images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
-    return _rank_ledger(report, "ideal", images).rank
+    return pivot_ideal_ledger(report).rank
+
+
+def in_ideal(report: DlaReport, ideal: LinearLedger, vec: dict) -> bool:
+    """Exact membership of vec (closure coordinates) in the span of
+    ``ideal = pivot_ideal_ledger(report)``.  The restriction is one-to-one
+    on g only: the identity, outside g, restricts to zero."""
+    return report.ledger.contains(vec) and ideal.contains(_restrict(report, vec))
+
+
+def commutator_ideal(report: DlaReport) -> list:
+    """Independent spanning set of [g, g]: its pivot ledger's rows lifted
+    back, primitive.  Pivot coordinate m belongs to basis row i = dim-1-m,
+    which holds its pivot key alone, so c lifts to c / row_i[pivot_i] times
+    row_i.  The smallest key of a vector in g is a pivot, so elimination in
+    pivot coordinates takes the same steps as over every key: the lifted
+    rows are the full-coordinate ledger's rows.
+
+    Raises ArithmeticError unless the exact splitting
+    dim(center) + dim(ideal) == dim(g) holds.
+    """
+    led = pivot_ideal_ledger(report)
+    check_split(report, center_dimension(report), led.rank)
+    rows, pivots, top = report.ledger.rows, report.ledger.pivots, report.dimension - 1
+    out = []
+    for w in led.rows:
+        lift = {top - m: Fraction(c, rows[top - m][pivots[top - m]]) for m, c in w.items()}
+        v = _to_int_row(_combine_basis(rows, lift))
+        out.append(_publish(report, _primitive(v, min(v))))
+    return out
 
 
 def check_split(report: DlaReport, center_dim: int, ideal_dim: int) -> None:

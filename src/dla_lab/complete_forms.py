@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .closure import DlaReport, LinearLedger, ad_cut_type, ad_field_type
+from .closure import DlaReport, LinearLedger, ad_cut_type, ad_field_type, in_ideal
 from .paulis import PauliString, PauliVector, SparseVector
 
 EXPANSION_VERTEX_CAP = 8
@@ -185,8 +185,9 @@ def fact_suite(
     families the bases are built from, for membership in the computed
     closure span of K_n (or its commutator ideal) and reports whether
     every member passed; the two negative controls must stay outside.
-    ``ideal`` is the report's commutator-ideal ledger and ``spanners`` the
-    packed ``kn_ideal_basis(n)`` with its ledger.
+    ``ideal`` is the report's ``pivot_ideal_ledger``, read through
+    ``in_ideal``, and ``spanners`` the packed ``kn_ideal_basis(n)`` with
+    its ledger.
     """
     n = report.n
     span = report.ledger
@@ -197,7 +198,7 @@ def fact_suite(
     # (0, 1, r) and (1, 1, r), r odd
     chains = [t for t in odd if t[0] <= 1 and t[1] == 1]
     results["y-and-xy-chains-in-ideal"] = all(
-        ideal.contains({t: 1}) for t in chains
+        in_ideal(report, ideal, {t: 1}) for t in chains
     )
     x_even_z = [t for t in even if t[0] == 1 and t[1] == 0]
     results["x-with-even-z-in-span"] = all(
@@ -220,7 +221,7 @@ def fact_suite(
     vectors, led = spanners
     results["ideal-spanners-independent"] = led.rank == len(vectors)
     results["ideal-spanners-inside-ideal"] = all(
-        ideal.contains(v) for v in vectors
+        in_ideal(report, ideal, v) for v in vectors
     )
 
     results["all-x-outside-span"] = not span.contains({(n, 0, 0): 1})

@@ -451,76 +451,48 @@ def canonical_relation_residuals(n: int) -> dict[str, float]:
     coefficients of the difference.
     """
     triples = canonical_basis(n)
-    worst = {
-        "h-u-raise": 0.0,
-        "h-v-lower": 0.0,
-        "u-v-cartan": 0.0,
-        "h-h-zero": 0.0,
-        "u-u-zero": 0.0,
-        "v-v-zero": 0.0,
-        "cross-h-u": 0.0,
-        "cross-h-v": 0.0,
-        "cross-u-v": 0.0,
-    }
+    worst = dict.fromkeys((
+        "h-u-raise", "h-v-lower", "u-v-cartan", "h-h-zero", "u-u-zero",
+        "v-v-zero", "cross-h-u", "cross-h-v", "cross-u-v",
+    ), 0.0)
+
+    def note(name, vec):
+        worst[name] = max(worst[name], vec.max_abs())
+
     for a in triples:
         for b in triples:
             if a.k == b.k:
-                worst["h-u-raise"] = max(
-                    worst["h-u-raise"],
-                    (orbit_bracket(a.h, b.u) - b.u.scaled(2)).max_abs(),
-                )
-                worst["h-v-lower"] = max(
-                    worst["h-v-lower"],
-                    (orbit_bracket(a.h, b.v) + b.v.scaled(2)).max_abs(),
-                )
-                worst["u-v-cartan"] = max(
-                    worst["u-v-cartan"],
-                    (orbit_bracket(a.u, b.v) - a.h).max_abs(),
-                )
+                note("h-u-raise", orbit_bracket(a.h, b.u) - b.u.scaled(2))
+                note("h-v-lower", orbit_bracket(a.h, b.v) + b.v.scaled(2))
+                note("u-v-cartan", orbit_bracket(a.u, b.v) - a.h)
             else:
-                worst["cross-h-u"] = max(
-                    worst["cross-h-u"], orbit_bracket(a.h, b.u).max_abs()
-                )
-                worst["cross-h-v"] = max(
-                    worst["cross-h-v"], orbit_bracket(a.h, b.v).max_abs()
-                )
-                worst["cross-u-v"] = max(
-                    worst["cross-u-v"], orbit_bracket(a.u, b.v).max_abs()
-                )
-            worst["h-h-zero"] = max(
-                worst["h-h-zero"], orbit_bracket(a.h, b.h).max_abs()
-            )
-            worst["u-u-zero"] = max(
-                worst["u-u-zero"], orbit_bracket(a.u, b.u).max_abs()
-            )
-            worst["v-v-zero"] = max(
-                worst["v-v-zero"], orbit_bracket(a.v, b.v).max_abs()
-            )
+                note("cross-h-u", orbit_bracket(a.h, b.u))
+                note("cross-h-v", orbit_bracket(a.h, b.v))
+                note("cross-u-v", orbit_bracket(a.u, b.v))
+            note("h-h-zero", orbit_bracket(a.h, b.h))
+            note("u-u-zero", orbit_bracket(a.u, b.u))
+            note("v-v-zero", orbit_bracket(a.v, b.v))
     return worst
 
 
 def su2_relation_residuals(n: int) -> dict[str, float]:
     """Worst-case residuals of the cyclic rotation-triple relations."""
-    worst = {"x-y": 0.0, "y-z": 0.0, "z-x": 0.0, "cross-mode": 0.0}
+    worst = dict.fromkeys(("x-y", "y-z", "z-x", "cross-mode"), 0.0)
+
+    def note(name, vec):
+        worst[name] = max(worst[name], vec.max_abs())
+
     triples = su2_basis(n)
     for a in triples:
-        worst["x-y"] = max(
-            worst["x-y"], (orbit_bracket(a.x, a.y) - a.z.scaled(2)).max_abs()
-        )
-        worst["y-z"] = max(
-            worst["y-z"], (orbit_bracket(a.y, a.z) - a.x.scaled(2)).max_abs()
-        )
-        worst["z-x"] = max(
-            worst["z-x"], (orbit_bracket(a.z, a.x) - a.y.scaled(2)).max_abs()
-        )
+        note("x-y", orbit_bracket(a.x, a.y) - a.z.scaled(2))
+        note("y-z", orbit_bracket(a.y, a.z) - a.x.scaled(2))
+        note("z-x", orbit_bracket(a.z, a.x) - a.y.scaled(2))
         for b in triples:
             if a.k == b.k:
                 continue
             for u in (a.x, a.y, a.z):
                 for v in (b.x, b.y, b.z):
-                    worst["cross-mode"] = max(
-                        worst["cross-mode"], orbit_bracket(u, v).max_abs()
-                    )
+                    note("cross-mode", orbit_bracket(u, v))
     return worst
 
 

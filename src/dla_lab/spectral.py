@@ -223,15 +223,16 @@ class SpectralReport(ValueTuple, namedtuple("SpectralReport", _REPORT_FIELDS, de
     ):
         if variance < 0:
             raise ValueError("variance must be nonnegative")
-        slack = 1e-9
         for part in ("rho", "obs"):
             inside = getattr(purity_center, part) + math.fsum(
                 getattr(p, part) for p in purity_per_component
             )
-            if inside > getattr(purity_whole, part) + slack:
+            whole = getattr(purity_whole, part)
+            # relative slack: the sum of n terms 2^n/n may land an ulp above 2^n
+            if inside > whole + 1e-9 * max(1.0, whole):
                 raise ValueError(
                     f"component purities of {part} exceed the whole-algebra "
-                    f"purity: {inside} > {getattr(purity_whole, part)}"
+                    f"purity: {inside} > {whole}"
                 )
         return tuple.__new__(cls, (
             n, purity_whole, purity_center, purity_per_component,

@@ -227,6 +227,14 @@ def test_variance_stops_where_the_purity_overflows_a_float(capsys):
     assert purities[1] == pytest.approx([0.0, 2.0**1023 / 1023], rel=1e-11)
 
 
+def test_variance_where_the_purities_sum_an_ulp_above_the_whole(capsys):
+    code, out, err = run(capsys, "variance", "--family", "cycle", "--n", "93")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["expectation"] == pytest.approx(1 / math.sqrt(93), rel=1e-11)
+    assert payload["variance"] == pytest.approx(2 * 92 / (3 * 93), rel=1e-11)
+
+
 def test_variance_rejects_other_families(capsys):
     code, _, err = run(capsys, "variance", "--family", "complete", "--n", "4")
     assert code == 2

@@ -23,8 +23,9 @@ from dla_lab.closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
-    ideal_ledger,
+    in_ideal,
     nullspace_combos,
+    pivot_ideal_ledger,
     span_ledger,
 )
 from dla_lab.graphs import Graph, maxcut_generators
@@ -388,6 +389,20 @@ def _full_center_rank(report):
     ).rank
 
 
+def _full_ideal_ledger(report):
+    """Ledger of the images [G_j, b] over every key: the reference for the
+    pivot-coordinate ideal."""
+    return span_ledger(ad(b) for ad in report._adjoints for b in report.ledger.rows)
+
+
+def _packed(report, v):
+    if report.coords == "pauli":
+        return pauli_vector_to_dict(v)
+    if report.coords == "group-orbit":
+        return {pack_pauli(k): c for k, c in v.items()}
+    return v
+
+
 @pytest.mark.parametrize(
     "graph, orbit",
     [_case(Graph.path(n), f"path-{n}") for n in range(2, 9)]
@@ -399,10 +414,37 @@ def _full_center_rank(report):
 )
 def test_pivot_coordinate_ranks_match_full_coordinates(graph, orbit):
     """The center and ideal ranks in pivot coordinates equal the ranks of
-    the same images over every key."""
+    the same images over every key; ideal membership and the ideal's basis
+    agree with the ledger over every key."""
     report = _report(graph, orbit)
-    assert ideal_dimension(report) == ideal_ledger(report).rank
+    full = _full_ideal_ledger(report)
+    assert ideal_dimension(report) == full.rank
     assert center_dimension(report) == report.dimension - _full_center_rank(report)
+    ideal = pivot_ideal_ledger(report)
+    rows = report.ledger.rows
+    for v in [ad(b) for ad in report._adjoints for b in rows] + rows:
+        assert in_ideal(report, ideal, v) == full.contains(v)
+    assert [_packed(report, v) for v in commutator_ideal(report)] == full.rows
+
+
+@pytest.mark.parametrize(
+    "graph, orbit, identity, all_x",
+    [
+        (Graph.complete(5), True, (0, 0, 0), (5, 0, 0)),
+        (Graph.cycle(5), True, 0, 0b11111 << 5),
+        (Graph.cycle(5), False, 0, 0b11111 << 5),
+    ],
+    ids=["type", "orbit", "raw"],
+)
+def test_in_ideal_rejects_vectors_outside_the_algebra(graph, orbit, identity, all_x):
+    """The identity and all-X commute with everything and lie outside g;
+    neither has a pivot key, so only the span guard keeps them out."""
+    report = _report(graph, orbit)
+    ideal = pivot_ideal_ledger(report)
+    for key in (identity, all_x):
+        assert not report.ledger.contains({key: 1})
+        assert key not in report.ledger.pivots  # so it restricts to {}
+        assert not in_ideal(report, ideal, {key: 1})
 
 
 @pytest.mark.parametrize(

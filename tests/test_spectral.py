@@ -162,6 +162,15 @@ def test_cycle_report_small_spot_values():
     assert r5.expectation == pytest.approx(1.0 / math.sqrt(5))
 
 
+def test_cycle_report_holds_at_every_float_size():
+    """The n component purities 2^n/n of the observable can sum to an ulp
+    above 2^n (first at n = 93); the invariant's slack is relative to the
+    whole, so every size below the float limit gives a report."""
+    for n in range(3, 1024):
+        r = cycle_spectral_report(n)
+        assert r.variance == pytest.approx(2 * (n - n % 2) / (3 * n), rel=1e-11)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_cycle_report_cross_checks_run_at_small_sizes(n):
     r = cycle_spectral_report(n)
