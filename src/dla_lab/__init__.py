@@ -13,7 +13,7 @@ The layers, bottom up:
     bracket kernel, inner products.
 ``symmetry``
     Qubit-permutation groups, a graph's group, the one packed-key orbit
-    map built from any group, Burnside counts, orbit compression.
+    map built from any group's per-bit image columns, Burnside counts.
 ``closure``
     The closure engine over an exact sparse integer ledger, in raw Pauli
     or symmetry-orbit coordinates; center and commutator-ideal ranks.

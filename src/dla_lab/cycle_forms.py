@@ -17,7 +17,8 @@ an offset past the far wall (t -> 2n - t - 2) swaps YXY with ZXZ and
 flips the sign of YXZ.  ``orbit_term`` and the folded structure-constant
 table behind ``orbit_bracket`` apply these reductions, so stored sums only
 ever hold canonical offsets.  The table is built whole for each ring size,
-keyed by pairs of stored keys.
+one row and one column per stored key, each entry carrying its whole
+sign.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
 (:class:`~dla_lab.paulis.SparseVector`) keyed by ``(kind index, offset)``
@@ -176,49 +177,53 @@ def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
 
 
 @cache
-def _folded_table(n: int) -> dict:
+def _folded_table(n: int) -> list:
     """The folded structure constants of ring size n, built whole.
 
-    Maps each pair of the 3n-1 stored keys to a tuple of (coeff, sign,
-    key) entries, one per non-vanishing term of ``_pair_bracket`` after
-    ``_fold``.  X enters as YXY(-1) = -X, so its coefficient is negated
-    by ``orbit_bracket``, not here; XN1 enters as YXY(n-1).
+    Row p1, column p2 lists the terms of the bracket of the stored keys at
+    positions p1 and p2, where key (i, t) sits at 3t + i: one (coeff, key)
+    entry per non-vanishing term of ``_pair_bracket`` after ``_fold``.
+    Each coeff carries the whole sign: the structure constant's, the
+    fold's and, since X enters as YXY(-1) = -X, one -1 per X factor;
+    XN1 enters as YXY(n-1).
     """
-    keys = [(0, 0), (1, 0)] + [(i, t) for t in range(n - 1) for i in (2, 3, 4)]
-    ends = {key: (_KINDS[key[0]], key[1]) for key in keys}
-    ends[0, 0] = ("YXY", -1)
-    ends[1, 0] = ("YXY", n - 1)
-    return {
-        (k1, k2): tuple(
-            (coeff, *folded)
-            for coeff, kind, offset in _pair_bracket(n, *ends[k1], *ends[k2])
-            if (folded := _fold(n, kind, offset)) is not None
-        )
-        for k1 in keys
-        for k2 in keys
-    }
+    ends = [(-1, "YXY", -1), (1, "YXY", n - 1)] + [
+        (1, kind, t) for t in range(n - 1) for kind in _KINDS[2:]
+    ]
+    return [
+        [
+            tuple(
+                (s1 * s2 * folded[0] * coeff, folded[1])
+                for coeff, kind, offset in _pair_bracket(n, kind1, t1, kind2, t2)
+                if (folded := _fold(n, kind, offset)) is not None
+            )
+            for s2, kind2, t2 in ends
+        ]
+        for s1, kind1, t1 in ends
+    ]
 
 
 def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
     """Commutator of two ring-orbit sums, exact in the coefficients.
 
-    Each output coefficient receives ``sign * (coeff * c1 * c2)`` for
-    every pair term in turn, X's coefficient negated, the additions
-    ``orbit_term`` and ``accumulate`` would make, so float and complex
-    results are bit-for-bit those of the term-by-term sum.
+    Each output coefficient receives ``coeff * c1 * c2`` for every pair
+    term in turn, the additions ``orbit_term`` and ``accumulate`` would
+    make; the table's signs are exact flips, so float and complex results
+    are bit-for-bit those of the term-by-term sum.
     """
     if a.n != b.n:
         raise ValueError("mismatched ring sizes")
-    pairs = _folded_table(a.n)
-    lhs, rhs = ([(k, -c if k == (0, 0) else c) for k, c in v.terms()] for v in (a, b))
+    table = _folded_table(a.n)
+    rhs = [(3 * t + i, c) for (i, t), c in b.terms()]
     acc = {}
-    for k1, c1 in lhs:
-        for k2, c2 in rhs:
-            for coeff, sign, key in pairs[k1, k2]:
+    for (i, t), c1 in a.terms():
+        row = table[3 * t + i]
+        for p2, c2 in rhs:
+            for coeff, key in row[p2]:
                 c = coeff * c1 * c2
                 if c == 0:
                     continue
-                total = acc.get(key, 0) + sign * c
+                total = acc.get(key, 0) + c
                 if total == 0:
                     acc.pop(key, None)
                 else:

@@ -149,7 +149,7 @@ def dimension_bounds(graph: Graph) -> dict:
         # orbits of strings under S_n = Pauli-type counts (p, q, r)
         aut = kn_formulas(n)["binom_bound"] - 1
     else:
-        aut = orbit_count(n, group) - 1
+        aut = orbit_count(group) - 1
     return {"aut_bound": aut, "center_bound": 2}
 
 

@@ -279,13 +279,20 @@ def _recomputed_forms(n: int, tolerance: float):
     return whole, purities(center_basis), comps, expect, var
 
 
+def _within(value: float, reference: float, tolerance: float) -> bool:
+    """The one float-check rule: ``|value - reference| <= tolerance *
+    max(1, |reference|)``, so each quantity is judged on its own scale."""
+    return abs(value - reference) <= tolerance * max(1.0, abs(reference))
+
+
 def cycle_spectral_report(n: int, tolerance: float = 1e-9) -> SpectralReport:
     """Closed-form loss moments for the n-cycle, cross-checked at small n.
 
     For ``n <= RECOMPUTE_VERTEX_CAP`` every value is recomputed from the
     expanded explicit bases (whole-algebra orbit basis, center pair, su(2)
     triples) and the largest deviation from the closed forms is recorded;
-    a deviation above ``tolerance`` raises ArithmeticError.  Beyond the
+    a value off its closed form by more than ``tolerance`` on that form's
+    scale (``_within``) raises ArithmeticError.  Beyond the
     cap the closed forms are reported alone.  The measurement's purity is
     2^n, so n must stay below the float exponent range (ValueError).
     """
@@ -302,22 +309,11 @@ def cycle_spectral_report(n: int, tolerance: float = 1e-9) -> SpectralReport:
         r_whole, r_center, r_comps, r_expect, r_var = _recomputed_forms(
             n, tolerance
         )
-        diffs = [
-            abs(whole.rho - r_whole.rho),
-            abs(whole.obs - r_whole.obs),
-            abs(center.rho - r_center.rho),
-            abs(center.obs - r_center.obs),
-            abs(expect - r_expect),
-            abs(var - r_var),
-        ]
-        for a, b in zip(comps, r_comps):
-            diffs.append(abs(a.rho - b.rho))
-            diffs.append(abs(a.obs - b.obs))
-        residual = max(diffs)
-        # absolute tolerance except for the exponentially large purity of
-        # the measurement, which is compared relative to its magnitude
-        scale = max(1.0, abs(whole.obs))
-        if residual > tolerance * scale:
+        pairs = [*zip(whole, r_whole), *zip(center, r_center), (expect, r_expect), (var, r_var)]
+        for closed, got in zip(comps, r_comps):
+            pairs += zip(closed, got)
+        residual = max(abs(closed - got) for closed, got in pairs)
+        if not all(_within(got, closed, tolerance) for closed, got in pairs):
             raise ArithmeticError(
                 f"closed-form/recomputed spectral mismatch at n={n}: "
                 f"max residual {residual:.3e}"

@@ -7,17 +7,17 @@ A permutation here acts on qubit *positions*: ``images[j]`` is where qubit
 hence preserves the letter counts (the type) of the string.
 
 ``PackedOrbits`` is the one orbit map: built from any ``PermGroup``, it
-canonicalises packed ``(x_mask << n) | z_mask`` keys.  The orbit-compressed
-closure, ``PackedOrbits.strings`` and ``compress``/``decompress`` all go
-through it, and ``apply_perm`` shares its bit-permuting routine.
-``graph_group`` alone picks the group of a graph.
+canonicalises packed ``(x_mask << n) | z_mask`` keys from one column per
+key bit, the bit's images under every group element.  The
+orbit-compressed closure and the ring orbits of ``cycle_forms`` go
+through it.  ``graph_group`` alone picks the group of a graph.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .paulis import PauliString, PauliVector, ValueTuple, pack_pauli, unpack_pauli
+from .paulis import ValueTuple
 
 # Explicit group enumeration is refused beyond this many elements (10!).
 ENUMERATION_CAP = 3_628_800
@@ -61,12 +61,6 @@ class Permutation(ValueTuple, namedtuple("Permutation", "images")):
         return cycles
 
 
-def _bit_images(perm: Permutation) -> list[int]:
-    """Image, as a one-bit mask, of each bit of a packed ``(x << n) | z`` key."""
-    n = perm.n
-    return [1 << i for i in perm.images] + [1 << (n + i) for i in perm.images]
-
-
 def _set_bits(key: int) -> list[int]:
     """Positions of the set bits of key, lowest first."""
     out = []
@@ -75,23 +69,6 @@ def _set_bits(key: int) -> list[int]:
         out.append(low.bit_length() - 1)
         key ^= low
     return out
-
-
-def _permute_bits(bits: list[int], positions: list[int]) -> int:
-    """The key whose set bits are the images of ``positions``.
-
-    The one bit-permuting routine.  The images are distinct bits, so their
-    sum is their OR.
-    """
-    return sum(map(bits.__getitem__, positions))
-
-
-def apply_perm(perm: Permutation, p: PauliString) -> PauliString:
-    """Push a Pauli string forward: qubit j's letter moves to perm.images[j]."""
-    if perm.n != p.n:
-        raise ValueError(f"sizes differ: {perm.n} != {p.n}")
-    key = _permute_bits(_bit_images(perm), _set_bits(pack_pauli(p)))
-    return unpack_pauli(p.n, key)
 
 
 class GroupTooLarge(ValueError):
@@ -164,9 +141,6 @@ class PermGroup:
             self._elements = order
         return self._elements
 
-    def order(self) -> int:
-        return len(self.elements())
-
     def __iter__(self):
         return iter(self.elements())
 
@@ -174,38 +148,40 @@ class PermGroup:
 class PackedOrbits:
     """Orbits of packed Pauli keys ``(x_mask << n) | z_mask`` under a group.
 
-    Holds, per group element, the image of each of the 2n key bits; a key
-    is mapped through its set bits only, found once for all elements.  Every
-    orbit met is cached under each of its members.
+    Holds one column per key bit: the tuple of that bit's images, as
+    one-bit masks, under every group element (z bits first, then x bits).
+    A key's images are the elementwise sums of the columns of its set
+    bits; the images of distinct bits are distinct bits, so each sum is
+    an OR.  Every orbit met is cached under each of its members.
     """
 
     def __init__(self, group: PermGroup):
-        self.n = group.n
-        self._tables = [_bit_images(g) for g in group]
+        n = group.n
+        elements = group.elements()
+        self._columns = [
+            tuple(1 << (shift + g.images[j]) for g in elements)
+            for shift in (0, n)
+            for j in range(n)
+        ]
         self._cache: dict[int, tuple[int, int, tuple[int, ...]]] = {}
 
     def orbit(self, key: int) -> tuple[int, int, tuple[int, ...]]:
         """(representative, size, sorted members) of the orbit through key.
 
         The representative is the smallest member, which is the
-        lexicographic minimum of (x_mask, z_mask) over the orbit.
+        lexicographic minimum of (x_mask, z_mask) over the orbit.  Key 0,
+        the identity, is its own orbit.
         """
         got = self._cache.get(key)
         if got is None:
-            positions = _set_bits(key)
-            members = sorted({_permute_bits(t, positions) for t in self._tables})
+            columns = map(self._columns.__getitem__, _set_bits(key))
+            members = sorted(set(map(sum, zip(*columns)))) or [0]
             got = (members[0], len(members), tuple(members))
             self._cache.update(dict.fromkeys(members, got))
         return got
 
-    def strings(self, p: PauliString) -> list[PauliString]:
-        """Distinct images of p, sorted by (x_mask, z_mask)."""
-        if p.n != self.n:
-            raise ValueError(f"sizes differ: {self.n} != {p.n}")
-        return [unpack_pauli(self.n, k) for k in self.orbit(pack_pauli(p))[2]]
 
-
-def orbit_count(n: int, group: PermGroup) -> int:
+def orbit_count(group: PermGroup) -> int:
     """Number of Pauli-string orbits, by Burnside's lemma.
 
     Averages 4^(number of index cycles) over the group; exact integer.
@@ -216,38 +192,6 @@ def orbit_count(n: int, group: PermGroup) -> int:
     if rem:
         raise ArithmeticError("Burnside average must be an integer")
     return count
-
-
-def compress(v: PauliVector, group: PermGroup) -> dict[PauliString, object]:
-    """Orbit coordinates of a group-invariant vector.
-
-    Returns {canonical representative -> coefficient}.  Raises if v is not
-    constant on some orbit (i.e. not group-invariant), since compression
-    would silently lose information there.
-    """
-    orbits = PackedOrbits(group)
-    out: dict[PauliString, object] = {}
-    remaining = dict(v.terms())
-    while remaining:
-        p, c = next(iter(remaining.items()))
-        strings = orbits.strings(p)
-        for q in strings:
-            if remaining.pop(q, None) != c:
-                raise ValueError("vector is not invariant under the group")
-        out[strings[0]] = c
-    return out
-
-
-def decompress(
-    compressed: dict[PauliString, object], group: PermGroup, n: int
-) -> PauliVector:
-    """Inverse of :func:`compress`: expand each orbit back to strings."""
-    orbits = PackedOrbits(group)
-    entries: dict[PauliString, object] = {}
-    for rep, c in compressed.items():
-        for q in orbits.strings(rep):
-            entries[q] = c
-    return PauliVector(n, entries)
 
 
 def graph_automorphisms(graph) -> PermGroup:

@@ -55,8 +55,9 @@ from dla_lab.cycle_forms import (
     canonical_relation_residuals,
     su2_relation_residuals,
 )
+from dla_lab.paulis import pack_pauli
 from dla_lab.spectral import PurityPair
-from dla_lab.symmetry import decompress
+from dla_lab.symmetry import PackedOrbits
 
 CORPUS_SEED = 20240901
 TOL = 1e-9
@@ -147,13 +148,13 @@ def test_criterion_04_triangle_is_one_algebra_in_two_coordinates():
     expand to identical row spaces (exact canonical form equality)."""
     complete = generate_dla_orbit_compressed(Graph.complete(3))
     cyclic = generate_dla_orbit_compressed(Graph.cycle(3))
-    dihedral = PermGroup.dihedral(3)
+    dihedral = PackedOrbits(PermGroup.dihedral(3))
     lk = span_ledger(
         pauli_vector_to_dict(SymOrbitSum(3, d).expand())
         for d in complete.basis
     )
     lc = span_ledger(
-        pauli_vector_to_dict(decompress(d, dihedral, 3))
+        {k: c for rep, c in d.items() for k in dihedral.orbit(pack_pauli(rep))[2]}
         for d in cyclic.basis
     )
     assert lk.rank == lc.rank == 8

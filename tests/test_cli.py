@@ -361,6 +361,17 @@ def test_variance_below_round_off_is_a_verification_failure(capsys):
     assert err.startswith("verification failure: ")
     assert "n=6" in err and "1e-16" in err
 
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-12", "1e-14"])
+def test_verify_cycle_and_variance_agree_on_the_spectral_check(capsys, tol):
+    """Both commands judge the recompute by one rule, so at every size
+    with a recompute they pass or fail it together."""
+    for n in map(str, range(3, 13)):
+        code, _, _ = run(capsys, "variance", "--family", "cycle", "--n", n, "--tolerance", tol)
+        _, out, _ = run(capsys, "verify-cycle", "--n", n, "--tolerance", tol)
+        checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert (code == 0) == (checks["spectral-closed-forms"] == "ok"), n
+
 def test_bad_graph_spec(capsys):
     code, _, err = run(capsys, "compute", "--graph", "blob:9")
     assert code == 2

@@ -29,7 +29,7 @@ from dla_lab.closure import (
     span_ledger,
 )
 from dla_lab.graphs import Graph, maxcut_generators
-from dla_lab.symmetry import GroupTooLarge, decompress, graph_group
+from dla_lab.symmetry import GroupTooLarge, PackedOrbits, graph_group
 from dla_lab.paulis import (
     PauliString,
     PauliVector,
@@ -264,13 +264,14 @@ def test_orbit_compressed_complete_matches_raw():
 
 
 def _assert_orbit_closure_matches_raw(graph):
-    """The decompressed orbit closure has the raw closure's canonical rows
-    and degree."""
+    """The orbit closure, each orbit expanded to its members, has the raw
+    closure's canonical rows and degree."""
     raw = generate_dla(maxcut_generators(graph))
     packed = generate_dla_orbit_compressed(graph)
-    group = graph_group(graph)
+    orbits = PackedOrbits(graph_group(graph))
     expanded = span_ledger(
-        pauli_vector_to_dict(decompress(d, group, graph.n)) for d in packed.basis
+        {k: c for rep, c in d.items() for k in orbits.orbit(pack_pauli(rep))[2]}
+        for d in packed.basis
     )
     assert packed.dimension == raw.dimension
     assert packed.degree == raw.degree

@@ -168,11 +168,17 @@ def test_basis_orbit_keys_span_the_ring_closure(n):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_compressed_is_the_dihedral_compression_of_the_expansion(n):
     from dla_lab.paulis import pack_pauli
-    from dla_lab.symmetry import PermGroup, compress
+    from dla_lab.symmetry import PackedOrbits, PermGroup
 
-    group = PermGroup.dihedral(n)
+    orbits = PackedOrbits(PermGroup.dihedral(n))
     for b in [*cycle_basis(n), *cycle_center(n)]:
-        packed = {pack_pauli(p): c for p, c in compress(b.expand(), group).items()}
+        expanded = {pack_pauli(p): c for p, c in b.expand().terms()}
+        packed = {}
+        for key, c in expanded.items():
+            rep, _, members = orbits.orbit(key)
+            # the expansion is invariant: every orbit member carries c
+            assert [expanded.get(m) for m in members] == [c] * len(members)
+            packed[rep] = c
         assert b.compressed() == packed
 
 
@@ -263,7 +269,9 @@ def test_bracket_table_is_built_whole():
     _folded_table.cache_clear()
     for n in (3, 8):
         orbit_bracket(field_orbit(n), cut_orbit(n))
-        assert len(_folded_table(n)) == (3 * n - 1) ** 2
+        table = _folded_table(n)
+        assert len(table) == 3 * n - 1
+        assert sum(map(len, table)) == (3 * n - 1) ** 2
 
 
 def test_power_rows_start_with_plain_commutator():

@@ -194,6 +194,21 @@ def test_cycle_report_checks_each_basis_once(monkeypatch):
     assert len(calls) == 7
 
 
+def test_cycle_report_judges_each_quantity_on_its_own_scale(monkeypatch):
+    """A recomputed variance off by 1e-7 at n = 12 fails the default
+    tolerance 1e-9, although the error is far below 1e-9 times 2^12, the
+    scale of the measurement's purity."""
+    recomputed = spectral._recomputed_forms
+
+    def perturbed(n, tolerance):
+        whole, center, comps, expect, var = recomputed(n, tolerance)
+        return whole, center, comps, expect, var + 1e-7
+
+    monkeypatch.setattr(spectral, "_recomputed_forms", perturbed)
+    with pytest.raises(ArithmeticError, match="n=12"):
+        cycle_spectral_report(12)
+
+
 def test_cycle_report_closed_form_only_beyond_recompute_cap():
     r = cycle_spectral_report(20)
     assert r.cross_residual is None
