@@ -23,8 +23,11 @@ pre-rounded to 12 significant digits and exact rationals rendered as
 ``"p/q"`` strings so that reports are byte-stable: re-parsing a report
 and re-emitting it reproduces the exact bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource budget exceeded.
+Each ``cmd_*`` handler returns only its payload body.  ``main`` alone
+adds the ``schema``/``command`` header, emits the payload in the chosen
+format and sets the exit code: 0 success, 1 verification failure (a
+payload whose ``ok`` is false, or a broken exact invariant), 2 usage or
+parse error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -178,43 +181,40 @@ def _compute_row(graph, orbit_compress: bool, memory_budget: int) -> dict:
     }
 
 
-class _CheckList:
-    """Accumulates named pass/fail/skip checks for the verify commands."""
+def _check(name: str, ok: bool | None, residual: float | None = None) -> dict:
+    """One verify check record; ``ok=None`` marks a skipped check."""
+    status = "skip" if ok is None else "ok" if ok else "fail"
+    return {"name": name, "status": status, "residual": residual}
 
-    def __init__(self):
-        self.checks: list[dict] = []
 
-    def add(self, name: str, ok: bool, residual: float | None) -> None:
-        self.checks.append(
-            {
-                "name": name,
-                "status": "ok" if ok else "fail",
-                "residual": residual,
-            }
-        )
+def _count_check(name: str, got: int, want: int) -> dict:
+    """An exact count that must equal its closed form; residual |got - want|."""
+    return _check(name, got == want, float(abs(got - want)))
 
-    def skip(self, name: str) -> None:
-        self.checks.append({"name": name, "status": "skip", "residual": None})
 
-    @property
-    def all_ok(self) -> bool:
-        return all(c["status"] != "fail" for c in self.checks)
+def _verify_fields(n: int, tolerance: float, checks: list[dict]) -> dict:
+    """The fields every verify payload shares; ``ok`` unless a check failed."""
+    return {
+        "n": n,
+        "tolerance": tolerance,
+        "checks": checks,
+        "ok": all(c["status"] != "fail" for c in checks),
+    }
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its payload body, the keys after the header
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: argparse.Namespace) -> dict:
     graph = parse_graph_spec(args.graph)
-    row = _compute_row(graph, args.orbit_compress, args.memory_budget)
-    payload = {"schema": SCHEMA_VERSION, "command": "compute", "graph": args.graph}
-    payload.update(row)
-    _emit(payload, args.output)
-    return EXIT_OK
+    return {
+        "graph": args.graph,
+        **_compute_row(graph, args.orbit_compress, args.memory_budget),
+    }
 
 
-def cmd_verify_cycle(args: argparse.Namespace) -> int:
+def cmd_verify_cycle(args: argparse.Namespace) -> dict:
     from .cycle_forms import (
         ab_power_coeffs,
         ab_power_trig_coeffs,
@@ -234,30 +234,26 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
     if n < 3:
         raise UsageError("n >= 3 required for the cycle family")
     tol = args.tolerance
-    checks = _CheckList()
 
     report = generate_dla_orbit_compressed(Graph.cycle(n), args.memory_budget)
-    checks.add(
-        "dimension-3n-minus-1",
-        report.dimension == 3 * n - 1,
-        float(abs(report.dimension - (3 * n - 1))),
-    )
-    cdim = center_dimension(report)
-    checks.add("center-dimension-2", cdim == 2, float(abs(cdim - 2)))
+    checks = [
+        _count_check("dimension-3n-minus-1", report.dimension, 3 * n - 1),
+        _count_check("center-dimension-2", center_dimension(report), 2),
+    ]
 
     basis = cycle_basis(n)
     c1, c2 = cycle_center(n)
     center_res = max(
         orbit_bracket(c, b).max_abs() for c in (c1, c2) for b in basis
     )
-    checks.add("center-commutes", center_res == 0, float(center_res))
+    checks.append(_check("center-commutes", center_res == 0, float(center_res)))
 
     # the explicit orbit basis spans the same space as the closure: the
     # dimensions agree (first check) and every closure orbit key is one of
     # the basis orbits, each basis element being a single orbit
     orbit_keys = {key for b in basis for key in b.compressed()}
     stray = sum(1 for row in report.ledger.rows for key in row if key not in orbit_keys)
-    checks.add("closure-span-in-orbit-basis", stray == 0, float(stray))
+    checks.append(_check("closure-span-in-orbit-basis", stray == 0, float(stray)))
 
     if n <= EXPANSION_CHECK_CAP:
         expanded = [b.expand() for b in basis]
@@ -266,33 +262,28 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
             for b, eb in zip(basis, expanded):
                 diff = orbit_bracket(a, b).expand() - commutator(ea, eb)
                 worst = max(worst, diff.max_abs())
-        checks.add("bracket-table-homomorphism", worst == 0, float(worst))
+        checks.append(_check("bracket-table-homomorphism", worst == 0, float(worst)))
     else:
-        checks.skip("bracket-table-homomorphism")
+        checks.append(_check("bracket-table-homomorphism", None))
 
-    res = max(canonical_relation_residuals(n).values())
-    checks.add("canonical-bracket-relations", res < tol, res)
-    res = max(su2_relation_residuals(n).values())
-    checks.add("su2-bracket-relations", res < tol, res)
-    res = alternating_eigen_residual(n)
-    checks.add("alternating-power-eigenvalue", res < tol, res)
+    for name, res in (
+        ("canonical-bracket-relations", max(canonical_relation_residuals(n).values())),
+        ("su2-bracket-relations", max(su2_relation_residuals(n).values())),
+        ("alternating-power-eigenvalue", alternating_eigen_residual(n)),
+    ):
+        checks.append(_check(name, res < tol, res))
 
-    checks.add(
+    checks.append(_check(
         "power-recursion-identity",
         ab_recursion_identity_ok(n),
         ab_recursion_identity_residual(n),
+    ))
+    trig_res = max(
+        max(abs(a - b) for a, b in zip(row, ab_power_trig_coeffs(n, k)))
+        / max(map(abs, row))
+        for k, row in enumerate(ab_power_coeffs(n, n - 1), 1)
     )
-    rows = ab_power_coeffs(n, n - 1)
-    trig_res = 0.0
-    for k in range(1, n):
-        row = rows[k - 1]
-        trig = ab_power_trig_coeffs(n, k)
-        scale = max(abs(c) for c in row)
-        trig_res = max(
-            trig_res,
-            max(abs(a - b) for a, b in zip(row, trig)) / scale,
-        )
-    checks.add("power-trig-closed-form", trig_res < tol, trig_res)
+    checks.append(_check("power-trig-closed-form", trig_res < tol, trig_res))
 
     if n <= RECOMPUTE_VERTEX_CAP:
         # pass or fail is variance's own call; a failed report is run
@@ -301,99 +292,64 @@ def cmd_verify_cycle(args: argparse.Namespace) -> int:
             spectral, ok = cycle_spectral_report(n, tol), True
         except ArithmeticError:
             spectral, ok = cycle_spectral_report(n, math.inf), False
-        checks.add("spectral-closed-forms", ok, spectral.cross_residual)
+        checks.append(_check("spectral-closed-forms", ok, spectral.cross_residual))
     else:
-        checks.skip("spectral-closed-forms")
+        checks.append(_check("spectral-closed-forms", None))
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify-cycle",
-        "n": n,
-        "tolerance": tol,
-        "checks": checks.checks,
-        "ok": checks.all_ok,
-    }
-    _emit(payload, args.output)
-    return EXIT_OK if checks.all_ok else EXIT_VERIFY
+    return _verify_fields(n, tol, checks)
 
 
-def cmd_verify_complete(args: argparse.Namespace) -> int:
+def cmd_verify_complete(args: argparse.Namespace) -> dict:
     from .complete_forms import DECOMPOSITION_CONJECTURE, fact_suite, kn_basis, kn_ideal_basis
 
     n = args.n
     if n < 2:
         raise UsageError("n >= 2 required for the complete family")
-    checks = _CheckList()
 
     report = generate_dla_orbit_compressed(Graph.complete(n), args.memory_budget)
     forms = kn_formulas(n)
-    checks.add(
-        "dimension-formula",
-        report.dimension == forms["dim"],
-        float(abs(report.dimension - forms["dim"])),
-    )
-    cdim = center_dimension(report)
-    checks.add(
-        "center-dimension-formula",
-        cdim == forms["center_dim"],
-        float(abs(cdim - forms["center_dim"])),
-    )
+    checks = [
+        _count_check("dimension-formula", report.dimension, forms["dim"]),
+        _count_check("center-dimension-formula", center_dimension(report), forms["center_dim"]),
+    ]
     ideal = pivot_ideal_ledger(report)
-    idim = ideal.rank
-    checks.add(
-        "ideal-dimension-formula",
-        idim == forms["ideal_dim"],
-        float(abs(idim - forms["ideal_dim"])),
-    )
+    checks.append(_count_check("ideal-dimension-formula", ideal.rank, forms["ideal_dim"]))
 
     basis = kn_basis(n)
     ledger = span_ledger([v.to_dict() for v in basis], args.memory_budget)
-    outside = sum(
-        0 if report.ledger.contains(v.to_dict()) else 1 for v in basis
-    )
-    ok = (
-        len(basis) == forms["dim"]
-        and ledger.rank == forms["dim"]
-        and outside == 0
-    )
-    checks.add(
+    outside = sum(not report.ledger.contains(v.to_dict()) for v in basis)
+    ok = len(basis) == forms["dim"] == ledger.rank and outside == 0
+    checks.append(_check(
         "explicit-basis-spans-closure",
         ok,
         float(abs(len(basis) - forms["dim"]) + abs(ledger.rank - forms["dim"]) + outside),
-    )
+    ))
 
     spanners = [v.to_dict() for v in kn_ideal_basis(n)]
     ledger = span_ledger(spanners, args.memory_budget)
     ok = len(spanners) == forms["ideal_dim"] == ledger.rank
-    checks.add(
+    checks.append(_check(
         "ideal-spanning-set-dimension",
         ok,
         float(abs(len(spanners) - forms["ideal_dim"]) + abs(ledger.rank - forms["ideal_dim"])),
-    )
+    ))
 
     for name, ok in fact_suite(report, ideal, (spanners, ledger)).items():
-        checks.add(name, ok, None if ok else 1.0)
+        checks.append(_check(name, ok, None if ok else 1.0))
 
-    checks.add(
+    checks.append(_check(
         "dimension-below-parity-bound",
         forms["dim"] < forms["yz_bound"] < forms["binom_bound"],
         float(max(0, forms["dim"] - forms["yz_bound"] + 1)),
-    )
+    ))
 
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify-complete",
-        "n": n,
-        "tolerance": args.tolerance,
-        "checks": checks.checks,
-        "ok": checks.all_ok,
+    return {
+        **_verify_fields(n, args.tolerance, checks),
         "note": DECOMPOSITION_CONJECTURE,
     }
-    _emit(payload, args.output)
-    return EXIT_OK if checks.all_ok else EXIT_VERIFY
 
 
-def cmd_variance(args: argparse.Namespace) -> int:
+def cmd_variance(args: argparse.Namespace) -> dict:
     from .spectral import cycle_spectral_report
 
     if args.family != "cycle":
@@ -405,9 +361,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
     if n < 3:
         raise UsageError("n >= 3 required for the cycle family")
     report = cycle_spectral_report(n, args.tolerance)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "variance",
+    return {
         "family": args.family,
         "n": n,
         "expectation": report.expectation,
@@ -416,16 +370,12 @@ def cmd_variance(args: argparse.Namespace) -> int:
             [p.rho, p.obs] for p in report.purity_per_component
         ],
     }
-    _emit(payload, args.output)
-    return EXIT_OK
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> dict:
     graph = parse_graph_spec(args.graph)
     bounds = dimension_bounds(graph)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "bounds",
+    body = {
         "graph": args.graph,
         "n": graph.n,
         "aut_bound": bounds["aut_bound"],
@@ -433,14 +383,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     }
     if graph.family == "complete":
         forms = kn_formulas(graph.n)
-        payload["binom_bound"] = forms["binom_bound"]
-        payload["yz_bound"] = forms["yz_bound"]
-        payload["dim_formula"] = forms["dim"]
-    _emit(payload, args.output)
-    return EXIT_OK
+        body["binom_bound"] = forms["binom_bound"]
+        body["yz_bound"] = forms["yz_bound"]
+        body["dim_formula"] = forms["dim"]
+    return body
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> dict:
     if args.family not in ("cycle", "complete"):
         raise UsageError("sweep supports --family cycle or complete")
     floor = 3 if args.family == "cycle" else 2
@@ -453,14 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for n in range(lo, hi + 1):
         graph = parse_graph_spec(f"{args.family}:{n}")
         rows.append(_compute_row(graph, True, args.memory_budget))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "sweep",
-        "family": args.family,
-        "rows": rows,
-    }
-    _emit(payload, args.output)
-    return EXIT_OK
+    return {"family": args.family, "rows": rows}
 
 
 _DISPATCH = {
@@ -596,7 +538,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        body = _DISPATCH[args.command](args)
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, **body}
+        _emit(payload, args.output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -606,6 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # a broken exact invariant
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    return EXIT_VERIFY if payload.get("ok") is False else EXIT_OK
 
 
 if __name__ == "__main__":

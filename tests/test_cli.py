@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from dla_lab import cli, complete_forms
+from dla_lab import cli, complete_forms, cycle_forms
 from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.graphs import kn_formulas
@@ -144,6 +144,21 @@ def test_verify_cycle_rejects_tiny_ring(capsys):
     code, _, err = run(capsys, "verify-cycle", "--n", "2")
     assert code == 2
     assert "n >= 3" in err
+
+
+def test_a_failing_ring_check_exits_one(capsys, monkeypatch):
+    """A residual over tolerance fails its own row only; the whole payload
+    is still printed, with ``ok`` false, and the exit code is 1."""
+    monkeypatch.setattr(cycle_forms, "alternating_eigen_residual", lambda n: 1.0)
+    code, out, err = run(capsys, "verify-cycle", "--n", "5")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    failures = [
+        (c["name"], c["residual"]) for c in payload["checks"] if c["status"] == "fail"
+    ]
+    assert failures == [("alternating-power-eigenvalue", 1.0)]
+    assert len(payload["checks"]) == 11
 
 
 def test_verify_complete_passes_off_the_boundary(capsys, monkeypatch):
@@ -399,22 +414,37 @@ def _subparsers():
     return action.choices
 
 
+def _unread_options(parser: argparse.ArgumentParser, *sources: str) -> set[str]:
+    """The option dests of ``parser`` that no source reads as ``args.<dest>``."""
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(textwrap.dedent(source)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    return {a.dest for a in parser._actions if a.dest != "help"} - read
+
+
 def test_every_option_is_read_by_its_command():
     """No dead options: each subcommand's option dests are all read as
-    ``args.<dest>`` by its handler."""
+    ``args.<dest>``, by its handler or by ``main``, which emits every
+    payload in ``args.output``."""
     subparsers = _subparsers()
     assert set(subparsers) == set(_DISPATCH)
+    shared = inspect.getsource(main)
     for name, sub in subparsers.items():
-        tree = ast.parse(textwrap.dedent(inspect.getsource(_DISPATCH[name])))
-        read = {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "args"
-        }
-        dests = {a.dest for a in sub._actions if a.dest != "help"}
-        assert dests <= read, (name, dests - read)
+        handler = inspect.getsource(_DISPATCH[name])
+        assert _unread_options(sub, handler, shared) == set(), name
+
+
+def test_an_unread_option_is_caught():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--a")
+    parser.add_argument("--b")
+    handler = "def cmd(args):\n    return {'a': args.a, 'b': b}\n"
+    assert _unread_options(parser, handler) == {"b"}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Exact stdout of one command per payload shape, ``runtime_ms`` set to 0.
+"""Exit code and exact stdout of one command per payload shape, with
+``runtime_ms`` set to 0.
 
 A change that claims to leave every payload byte-identical keeps these
 passing; the expected texts are literals, not computed by the package.
@@ -227,6 +228,159 @@ tolerance: 1e-09
   spectral-closed-forms              ok   residual=5.684e-14
 ok: True
 """,
+    "verify-complete --n 3": """\
+{
+  "schema": "dla-lab/1",
+  "command": "verify-complete",
+  "n": 3,
+  "tolerance": 1e-09,
+  "checks": [
+    {
+      "name": "dimension-formula",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "center-dimension-formula",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "ideal-dimension-formula",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "explicit-basis-spans-closure",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "ideal-spanning-set-dimension",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "odd-yz-pairs-in-span",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "y-and-xy-chains-in-ideal",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "x-with-even-z-in-span",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "x-with-even-pairs-in-span",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "squares-in-span",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "ideal-spanners-independent",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "ideal-spanners-inside-ideal",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "all-x-outside-span",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "identity-outside-span",
+      "status": "ok",
+      "residual": null
+    },
+    {
+      "name": "dimension-below-parity-bound",
+      "status": "fail",
+      "residual": 1.0
+    }
+  ],
+  "ok": false,
+  "note": "the commutator ideal may decompose as a direct sum of su(floor((j+1)/2)+1) blocks; unverified"
+}
+""",
+    "verify-cycle --n 13": """\
+{
+  "schema": "dla-lab/1",
+  "command": "verify-cycle",
+  "n": 13,
+  "tolerance": 1e-09,
+  "checks": [
+    {
+      "name": "dimension-3n-minus-1",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "center-dimension-2",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "center-commutes",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "closure-span-in-orbit-basis",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "bracket-table-homomorphism",
+      "status": "skip",
+      "residual": null
+    },
+    {
+      "name": "canonical-bracket-relations",
+      "status": "ok",
+      "residual": 2.01407297419e-16
+    },
+    {
+      "name": "su2-bracket-relations",
+      "status": "ok",
+      "residual": 2.98372437868e-16
+    },
+    {
+      "name": "alternating-power-eigenvalue",
+      "status": "ok",
+      "residual": 1.94289029309e-15
+    },
+    {
+      "name": "power-recursion-identity",
+      "status": "ok",
+      "residual": 3.47643248368e-16
+    },
+    {
+      "name": "power-trig-closed-form",
+      "status": "ok",
+      "residual": 1.14865382163e-15
+    },
+    {
+      "name": "spectral-closed-forms",
+      "status": "skip",
+      "residual": null
+    }
+  ],
+  "ok": true
+}
+""",
 }
 
 
@@ -235,9 +389,13 @@ def _normalised(out: str) -> str:
     return re.sub(r"(?m)^(\d+,.*,)\d+$", r"\g<1>0", out)  # csv: last column
 
 
+#: commands whose exit code is not 0: K_3 fails the strict parity bound
+EXIT_CODE = {"verify-complete --n 3": 1}
+
+
 @pytest.mark.parametrize("command", EXPECTED)
 def test_stdout_is_pinned(capsys, command):
-    assert main(command.split()) == 0
+    assert main(command.split()) == EXIT_CODE.get(command, 0)
     captured = capsys.readouterr()
     assert captured.err == ""
     assert _normalised(captured.out) == EXPECTED[command]
