@@ -27,7 +27,8 @@ The same engine runs in three coordinate systems:
   canonical representatives of orbits under the graph's group,
   ``symmetry.graph_group``, from the one orbit map
   ``symmetry.PackedOrbits``), bracketed by the same kernel on a
-  representative against a whole orbit, then folded back to orbits;
+  representative against a generator's whole expansion, then folded back
+  to orbits, once per (generator, orbit key);
 * type coordinates ``(p, q, r)`` for complete graphs, via the two
   generators' closed-form adjoint maps.
 
@@ -274,38 +275,57 @@ def nullspace_combos(vectors, memory_budget: int | None = None) -> list[dict]:
 # coordinate systems
 
 
-def _group_orbit_bracket(n: int, orbits: PackedOrbits):
-    """Bracket of two group-invariant vectors in orbit coordinates.
+def _group_orbit_bracket(n: int, orbits: PackedOrbits, u: dict,
+                         memory_budget: int | None):
+    """The adjoint map v -> [S(u), v] of a group-invariant vector u, in
+    orbit coordinates, with one memoised image per orbit key.
 
-    [S(O_a), S(O_b)] is invariant, so it is determined by bracketing one
-    representative of O_a against the full expansion of O_b and averaging
-    back: the coefficient on orbit O equals |O_a|/|O| times the sum of the
-    raw product coefficients landing in O.  The raw products come from the
-    Pauli kernel, one call per representative against the whole expansion
-    of v.  Exact integer output.
+    [S(u), S(O_b)] is invariant, so it is determined by bracketing the
+    representative b of O_b against the full expansion of u and averaging
+    back: the coefficient on orbit O equals |O_b|/|O| times the sum of the
+    raw product coefficients landing in O.  Each key's image is evaluated
+    once, by one Pauli kernel call, and kept; then ad(v) is the sum of
+    c_b * image(b) over v's terms.  Every key of the reduced basis lies in
+    a row the closure once imaged, so the center and ideal stages read
+    the memo only.  Exact integer output.  The memo's entries, the terms
+    of its images, count against the memory budget.
     """
+    full_u = {k: c for ka, c in u.items() for k in orbits.orbit(ka)[2]}
+    images: dict[int, dict] = {}
+    entries = 0
 
-    def bracket(u: dict, v: dict) -> dict:
-        expanded: dict[int, int] = {}
-        for kb, cb in v.items():
-            expanded.update(dict.fromkeys(orbits.orbit(kb)[2], cb))
+    def image(kb: int) -> dict:
+        nonlocal entries
         acc: dict[int, int] = {}
-        for ka, ca in u.items():
-            raw = pauli_bracket(n, {ka: ca * orbits.orbit(ka)[1]}, expanded)
-            for key, c in raw.items():
-                rep = orbits.orbit(key)[0]
-                acc[rep] = acc.get(rep, 0) + c
+        # [S(u), b] = [-b, S(u)]: one kernel term outside, u's expansion inside
+        for key, c in pauli_bracket(n, {kb: -1}, full_u).items():
+            rep = orbits.orbit(key)[0]
+            acc[rep] = acc.get(rep, 0) + c
+        size_b = orbits.orbit(kb)[1]
         out = {}
         for rep, total in acc.items():
             if total == 0:
                 continue
-            q, r = divmod(total, orbits.orbit(rep)[1])
+            q, r = divmod(total * size_b, orbits.orbit(rep)[1])
             if r:
                 raise ArithmeticError("orbit bracket must stay integral")
             out[rep] = q
+        entries += len(out)
+        _check_budget("orbit image memo holds", entries, memory_budget)
+        images[kb] = out
         return out
 
-    return bracket
+    def ad(v: dict) -> dict:
+        acc: dict[int, int] = {}
+        for kb, cb in v.items():
+            img = images.get(kb)
+            if img is None:
+                img = image(kb)
+            for key, c in img.items():
+                acc[key] = acc.get(key, 0) + cb * c
+        return {key: c for key, c in acc.items() if c}
+
+    return ad
 
 
 def ad_field_type(n: int, v: dict) -> dict:
@@ -455,12 +475,11 @@ def generate_dla_orbit_compressed(
         ]
         return _closure_engine(n, "complete-orbit", pairs, memory_budget)
     orbits = PackedOrbits(group)
-    bracket = _group_orbit_bracket(n, orbits)
     x_keys = [1 << (n + j) for j in range(n)]
     zz_keys = [(1 << j) | (1 << k) for j, k in graph.edges]
     gens = [dict.fromkeys(sorted({orbits.orbit(k)[0] for k in ks}), 1)
             for ks in (x_keys, zz_keys)]
-    pairs = [(d, partial(bracket, d)) for d in gens]
+    pairs = [(d, _group_orbit_bracket(n, orbits, d, memory_budget)) for d in gens]
     return _closure_engine(n, "group-orbit", pairs, memory_budget)
 
 

@@ -18,7 +18,7 @@ flips the sign of YXZ.  ``orbit_term`` and the folded structure-constant
 table behind ``orbit_bracket`` apply these reductions, so stored sums only
 ever hold canonical offsets.  The table is built whole for each ring size,
 one row and one column per stored key, each entry carrying its whole
-sign.
+sign and the position of its output key.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
 (:class:`~dla_lab.paulis.SparseVector`) keyed by ``(kind index, offset)``
@@ -176,13 +176,26 @@ def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
     return []  # [YXZ, YXZ] vanishes
 
 
+def _position(key: tuple[int, int]) -> int:
+    """Where a canonical key sits among the 3n - 1: (i, t) at 3t + i."""
+    i, t = key
+    return 3 * t + i
+
+
+@cache
+def _stored_keys(n: int) -> list:
+    """The 3n - 1 canonical keys, by ``_position``."""
+    return [(0, 0), (1, 0)] + [(i, t) for t in range(n - 1) for i in (2, 3, 4)]
+
+
 @cache
 def _folded_table(n: int) -> list:
     """The folded structure constants of ring size n, built whole.
 
     Row p1, column p2 lists the terms of the bracket of the stored keys at
-    positions p1 and p2, where key (i, t) sits at 3t + i: one (coeff, key)
-    entry per non-vanishing term of ``_pair_bracket`` after ``_fold``.
+    positions p1 and p2, where key (i, t) sits at 3t + i: one (coeff,
+    position) entry per non-vanishing term of ``_pair_bracket`` after
+    ``_fold``, the position being that of the folded output key.
     Each coeff carries the whole sign: the structure constant's, the
     fold's and, since X enters as YXY(-1) = -X, one -1 per X factor;
     XN1 enters as YXY(n-1).
@@ -193,7 +206,7 @@ def _folded_table(n: int) -> list:
     return [
         [
             tuple(
-                (s1 * s2 * folded[0] * coeff, folded[1])
+                (s1 * s2 * folded[0] * coeff, _position(folded[1]))
                 for coeff, kind, offset in _pair_bracket(n, kind1, t1, kind2, t2)
                 if (folded := _fold(n, kind, offset)) is not None
             )
@@ -208,27 +221,26 @@ def orbit_bracket(a: CycleOrbitSum, b: CycleOrbitSum) -> CycleOrbitSum:
 
     Each output coefficient receives ``coeff * c1 * c2`` for every pair
     term in turn, the additions ``orbit_term`` and ``accumulate`` would
-    make; the table's signs are exact flips, so float and complex results
-    are bit-for-bit those of the term-by-term sum.
+    make; the table's signs are exact flips.  The sums accumulate by key
+    position, from 0, and zeros are dropped once, at the end: a sum that
+    cancels on the way goes on from a zero where the term-by-term sum
+    restarts from 0, and adding a nonzero c to either gives c.  So every
+    coefficient equals the term-by-term sum's, a float one bit for bit and
+    a complex one up to the sign of a zero part.
     """
     if a.n != b.n:
         raise ValueError("mismatched ring sizes")
-    table = _folded_table(a.n)
+    n = a.n
+    table = _folded_table(n)
     rhs = [(3 * t + i, c) for (i, t), c in b.terms()]
-    acc = {}
+    acc = [0] * (3 * n - 1)
     for (i, t), c1 in a.terms():
         row = table[3 * t + i]
         for p2, c2 in rhs:
-            for coeff, key in row[p2]:
-                c = coeff * c1 * c2
-                if c == 0:
-                    continue
-                total = acc.get(key, 0) + c
-                if total == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-    return CycleOrbitSum(a.n, acc)
+            for coeff, pos in row[p2]:
+                acc[pos] += coeff * c1 * c2
+    keys = _stored_keys(n)
+    return a._new({keys[pos]: c for pos, c in enumerate(acc) if c})
 
 
 def field_orbit(n: int) -> CycleOrbitSum:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from dla_lab import closure
 from dla_lab.closure import (
     DlaReport,
     LinearLedger,
@@ -36,6 +37,7 @@ from dla_lab.paulis import (
     commutator,
     dict_to_pauli_vector,
     pack_pauli,
+    pauli_bracket,
     pauli_vector_to_dict,
     unpack_pauli,
 )
@@ -303,6 +305,82 @@ def test_group_orbit_closure_matches_raw_closure(graph):
     """Reversal orbits for paths, searched automorphisms for the benchmark's
     seeded graphs."""
     _assert_orbit_closure_matches_raw(graph)
+
+
+def _whole_vector_bracket(n, orbits, u, v):
+    """[S(u), S(v)] in orbit coordinates the long way: each representative
+    of u against the full expansion of v, averaged back onto orbits."""
+    expanded = {k: cb for kb, cb in v.items() for k in orbits.orbit(kb)[2]}
+    acc = {}
+    for ka, ca in u.items():
+        raw = commutator(
+            dict_to_pauli_vector(n, {ka: ca * orbits.orbit(ka)[1]}),
+            dict_to_pauli_vector(n, expanded),
+        )
+        for p, c in raw.terms():
+            rep = orbits.orbit(pack_pauli(p))[0]
+            acc[rep] = acc.get(rep, 0) + c
+    out = {}
+    for rep, total in acc.items():
+        q, r = divmod(total, orbits.orbit(rep)[1])
+        assert r == 0
+        if q:
+            out[rep] = q
+    return out
+
+
+_MEMO_GRAPHS = [
+    pytest.param(Graph.path(9), id="path-9"),
+    pytest.param(Graph.cycle(12), id="cycle-12"),
+    pytest.param(Graph(8, [(0, j) for j in range(1, 8)]), id="star-8"),
+] + _corpus_graphs()
+
+
+@pytest.mark.parametrize("graph", _MEMO_GRAPHS)
+def test_memoised_orbit_adjoint_is_the_whole_vector_bracket(graph):
+    """Each generator's adjoint, built from one memoised image per orbit
+    key, gives the bracket of its generator with every basis row."""
+    n = graph.n
+    report = generate_dla_orbit_compressed(graph)
+    orbits = PackedOrbits(graph_group(graph))
+    keys = ([1 << (n + j) for j in range(n)], [(1 << j) | (1 << k) for j, k in graph.edges])
+    gens = [dict.fromkeys({orbits.orbit(k)[0] for k in ks}, 1) for ks in keys]
+    assert report.generator_count == len(gens)
+    for u, ad in zip(gens, report._adjoints):
+        for b in report.ledger.rows:
+            assert ad(b) == _whole_vector_bracket(n, orbits, u, b)
+
+
+@pytest.mark.parametrize("graph", _MEMO_GRAPHS)
+def test_center_and_ideal_read_the_orbit_memo_only(graph, monkeypatch):
+    """Every key of the reduced basis was imaged during the closure, so the
+    center and ideal ranks make no Pauli kernel call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pauli_bracket(*args, **kwargs)
+
+    monkeypatch.setattr(closure, "pauli_bracket", counted)
+    report = generate_dla_orbit_compressed(graph)
+    assert calls
+    calls.clear()
+    center_dimension(report)
+    ideal_dimension(report)
+    assert calls == []
+
+
+def test_orbit_memo_counts_against_the_memory_budget():
+    """The closure ledger of orbit cycle:12 never holds more than 35
+    entries, but a generator's memo of orbit images outgrows 40 and trips
+    that budget first; the message names the memo and the round."""
+    assert generate_dla_orbit_compressed(Graph.cycle(12), memory_budget=44).dimension == 35
+    with pytest.raises(ResourceBudgetError) as exc:
+        generate_dla_orbit_compressed(Graph.cycle(12), memory_budget=40)
+    assert str(exc.value) == (
+        "orbit image memo holds 41 entries, over the budget of 40; "
+        "gave up in closure round 21 (frontier size 2)"
+    )
 
 
 def test_orbit_compressed_rejects_edgeless_and_over_cap_graphs():

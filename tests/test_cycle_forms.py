@@ -232,14 +232,21 @@ def _endpoint_terms(v):
     return out
 
 
-def _reference_bracket(a, b):
-    """Term-by-term bracket: one folded ``orbit_term`` per pair term."""
+def _pair_terms(a, b):
+    """The bracket's terms in the order of the sum, each a folded
+    ``orbit_term``."""
     n = a.n
-    acc = CycleOrbitSum.zero(n)
     for kind1, s, c1 in _endpoint_terms(a):
         for kind2, t, c2 in _endpoint_terms(b):
             for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
-                acc.accumulate(orbit_term(n, kind, offset, coeff * c1 * c2))
+                yield orbit_term(n, kind, offset, coeff * c1 * c2)
+
+
+def _reference_bracket(a, b):
+    """Term-by-term bracket: one folded ``orbit_term`` per pair term."""
+    acc = CycleOrbitSum.zero(a.n)
+    for term in _pair_terms(a, b):
+        acc.accumulate(term)
     return acc
 
 
@@ -248,7 +255,9 @@ def test_bracket_is_exactly_the_term_by_term_sum():
     with ``==``, not a tolerance: the folded table changes no addition.
     Sizes alternate, so a table shared across ring sizes fails here.
     Each mode meets itself and the next mode, which already reaches
-    every entry of the table."""
+    every entry of the table.  Last, YXZ(0)'s sum in [ca X + cz ZXZ(1),
+    cb (ZXZ(0) + YXY(0))] cancels to exactly zero after two terms and the
+    third refills it, for int, float and complex coefficients."""
     _folded_table.cache_clear()
     for n in (5, 11, 3, 8, 5):
         basis = cycle_basis(n)
@@ -262,16 +271,34 @@ def test_bracket_is_exactly_the_term_by_term_sum():
                 for a in mode:
                     for b in mode + following:
                         assert orbit_bracket(a, b) == _reference_bracket(a, b)
+    n = 5
+    for ca, cz, cb in ((3, -5, 7), (0.1, 0.7, 1 / 3), (0.1 + 0.2j, -0.3j, 1 / 3 - 0.5j)):
+        a = orbit_term(n, "X", coeff=ca) + orbit_term(n, "ZXZ", 1, cz)
+        b = orbit_term(n, "ZXZ", 0, cb) + orbit_term(n, "YXY", 0, cb)
+        addends = [t.coeff("YXZ", 0) for t in _pair_terms(a, b) if t.coeff("YXZ", 0)]
+        assert len(addends) == 3
+        assert addends[0] + addends[1] == 0 and addends[2] != 0
+        got = orbit_bracket(a, b)
+        assert got == _reference_bracket(a, b)
+        assert got.coeff("YXZ", 0) == addends[2]
+        assert type(got.coeff("YXZ", 0)) is type(ca)
 
 
 def test_bracket_table_is_built_whole():
-    """One entry per pair of the 3n-1 stored keys, on first use."""
+    """One entry per pair of the 3n-1 stored keys, on first use; each
+    entry is (coeff, position) of a stored key, an int sign-carrying
+    coefficient and a position in 0..3n-2."""
     _folded_table.cache_clear()
     for n in (3, 8):
         orbit_bracket(field_orbit(n), cut_orbit(n))
         table = _folded_table(n)
         assert len(table) == 3 * n - 1
         assert sum(map(len, table)) == (3 * n - 1) ** 2
+        entries = [e for row in table for cell in row for e in cell]
+        assert entries
+        for coeff, pos in entries:
+            assert type(coeff) is int and coeff in (-4, -2, 2, 4)
+            assert type(pos) is int and 0 <= pos < 3 * n - 1
 
 
 def test_power_rows_start_with_plain_commutator():
