@@ -40,7 +40,7 @@ _EXPORTS = {
     "closure": """DEFAULT_MEMORY_BUDGET DlaReport LinearLedger ResourceBudgetError
         center center_dimension commutator_ideal generate_dla
         generate_dla_orbit_compressed ideal_dimension in_ideal
-        nullspace_combos pivot_ideal_ledger span_ledger""",
+        nullspace_combos span_ledger""",
     "complete_forms": """DECOMPOSITION_CONJECTURE SymOrbitSum ad_cut ad_field
         fact_suite kn_basis kn_ideal_basis sym_term""",
     "cycle_forms": """CycleOrbitSum ab_power ab_power_expansion_coeffs

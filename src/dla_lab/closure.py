@@ -46,9 +46,14 @@ Raw images are evaluated at the pivots only (``pauli_bracket``'s ``at``)
 when the pivots are fewer than the row's terms.
 The center's basis is ``nullspace_combos`` of the stacked restricted
 images, and every stage runs under the closure's memory budget.
-[g, g] is kept once, as ``pivot_ideal_ledger``: ``ideal_dimension`` is
-its rank, ``in_ideal`` tests a vector of the algebra by its restriction,
-and ``commutator_ideal`` lifts its rows back to the closure's coordinates.
+
+The report owns the split g = z(g) + [g, g]: the center's dimension and
+the ledger of [g, g] are each ranked once per report and kept on it.  As
+soon as both are in, they must add up to dim(g), or ``ArithmeticError``
+is raised and the second result is not kept.  ``ideal_dimension`` is the
+ideal ledger's rank, ``in_ideal`` tests a vector of the algebra by its
+restriction, and ``commutator_ideal`` lifts the ledger's rows back to the
+closure's coordinates.
 """
 
 from __future__ import annotations
@@ -369,8 +374,9 @@ class DlaReport:
     and ``{(p, q, r): int}`` dicts for complete-graph type coordinates.
     ``generator_count`` is the number of independent generators used (the
     size of B0); the center and ideal stages act through their adjoint maps
-    ``v -> [G_j, v]`` under the ledger's memory budget.  Reports are equal
-    when their ledgers span the same space.
+    ``v -> [G_j, v]`` under the ledger's memory budget, and keep their
+    results, which must split the algebra, on the report.  Reports are
+    equal when their ledgers span the same space.
     """
 
     def __init__(self, dimension: int, degree: int, generator_count: int, n: int,
@@ -382,6 +388,7 @@ class DlaReport:
         self.coords = coords
         self.ledger = ledger
         self._adjoints = _adjoints
+        self._split: dict = {}  # "center": its dimension, "ideal": its ledger
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -572,51 +579,75 @@ def center(report: DlaReport) -> list:
     return [_publish(report, _combine_basis(rows, c)) for c in combos]
 
 
+def _keep(report: DlaReport, stage: str, result) -> None:
+    """Keep a stage's result on the report: the center's dimension, or the
+    ledger of [g, g].  Once both are in, raise ArithmeticError unless
+    dim(center) + dim([g, g]) == dim(g), which holds exactly for every
+    compact Lie algebra; a result that breaks the split is not kept."""
+    split = {**report._split, stage: result}
+    if len(split) == 2:
+        center_dim, ideal_dim = split["center"], split["ideal"].rank
+        if center_dim + ideal_dim != report.dimension:
+            raise ArithmeticError(
+                "center and commutator ideal must split the algebra: "
+                f"{center_dim} + {ideal_dim} != {report.dimension}"
+            )
+    report._split = split
+
+
 def center_dimension(report: DlaReport) -> int:
-    """dim of the center via the rank of the stacked adjoint map."""
-    stacked = _center_map(report, report.ledger.rows)
-    return report.dimension - _rank_ledger(report, "center", stacked).rank
+    """dim of the center via the rank of the stacked adjoint map, ranked
+    once per report."""
+    if "center" not in report._split:
+        stacked = _center_map(report, report.ledger.rows)
+        rank = _rank_ledger(report, "center", stacked).rank
+        _keep(report, "center", report.dimension - rank)
+    return report._split["center"]
 
 
-def pivot_ideal_ledger(report: DlaReport) -> LinearLedger:
+def _ideal_ledger(report: DlaReport) -> LinearLedger:
     """Ledger spanning [g, g] = span{[G_j, b] : b in basis}, in the basis's
-    pivot coordinates; its rank, membership tests and basis all read it.
+    pivot coordinates, ranked once per report; the ideal's rank, membership
+    tests and basis all read it.
 
     For a generated algebra this bracket stream spans the full ideal: by
     Jacobi induction any [u, v] with u, v in the closure reduces to brackets
-    of generators with closure elements.  Each call builds a fresh ledger;
-    a caller that needs both the rank and membership tests builds it once.
+    of generators with closure elements.
     """
-    rows = report.ledger.rows
-    images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
-    return _rank_ledger(report, "ideal", images)
+    if "ideal" not in report._split:
+        rows = report.ledger.rows
+        images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
+        _keep(report, "ideal", _rank_ledger(report, "ideal", images))
+    return report._split["ideal"]
 
 
 def ideal_dimension(report: DlaReport) -> int:
     """dim of [g, g]: the rank of the images [G_j, b] in pivot coordinates."""
-    return pivot_ideal_ledger(report).rank
+    return _ideal_ledger(report).rank
 
 
-def in_ideal(report: DlaReport, ideal: LinearLedger, vec: dict) -> bool:
-    """Exact membership of vec (closure coordinates) in the span of
-    ``ideal = pivot_ideal_ledger(report)``.  The restriction is one-to-one
+def in_ideal(report: DlaReport, vec: dict) -> bool:
+    """Exact membership of vec (closure coordinates) in [g, g], by its
+    restriction to the pivot coordinates.  The restriction is one-to-one
     on g only: the identity, outside g, restricts to zero."""
+    ideal = _ideal_ledger(report)
     return report.ledger.contains(vec) and ideal.contains(_restrict(report, vec))
 
 
 def commutator_ideal(report: DlaReport) -> list:
-    """Independent spanning set of [g, g]: its pivot ledger's rows lifted
-    back, primitive.  Pivot coordinate m belongs to basis row i = dim-1-m,
-    which holds its pivot key alone, so c lifts to c / row_i[pivot_i] times
-    row_i.  The smallest key of a vector in g is a pivot, so elimination in
-    pivot coordinates takes the same steps as over every key: the lifted
-    rows are the full-coordinate ledger's rows.
+    """Independent spanning set of [g, g]: the rows of the report's ideal
+    ledger lifted back, primitive.  Pivot coordinate m belongs to basis row
+    i = dim-1-m, which holds its pivot key alone, so c lifts to
+    c / row_i[pivot_i] times row_i.  The smallest key of a vector in g is a
+    pivot, so elimination in pivot coordinates takes the same steps as over
+    every key: the lifted rows are the full-coordinate ledger's rows.
 
-    Raises ArithmeticError unless the exact splitting
-    dim(center) + dim(ideal) == dim(g) holds.
+    Reads the center's dimension too, so it raises ArithmeticError unless
+    dim(center) + dim(ideal) == dim(g); neither is ranked again if the
+    report already holds it.
     """
-    led = pivot_ideal_ledger(report)
-    check_split(report, center_dimension(report), led.rank)
+    led = _ideal_ledger(report)
+    center_dimension(report)
     rows, pivots, top = report.ledger.rows, report.ledger.pivots, report.dimension - 1
     out = []
     for w in led.rows:
@@ -624,13 +655,3 @@ def commutator_ideal(report: DlaReport) -> list:
         v = _to_int_row(_combine_basis(rows, lift))
         out.append(_publish(report, _primitive(v, min(v))))
     return out
-
-
-def check_split(report: DlaReport, center_dim: int, ideal_dim: int) -> None:
-    """Raise ArithmeticError unless dim(center) + dim([g, g]) == dim(g),
-    which holds exactly for every compact Lie algebra."""
-    if center_dim + ideal_dim != report.dimension:
-        raise ArithmeticError(
-            "center and commutator ideal must split the algebra: "
-            f"{center_dim} + {ideal_dim} != {report.dimension}"
-        )

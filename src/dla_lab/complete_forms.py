@@ -175,9 +175,7 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
 
 
 def fact_suite(
-    report: DlaReport,
-    ideal: LinearLedger,
-    spanners: tuple[list[dict], LinearLedger],
+    report: DlaReport, spanners: tuple[list[dict], LinearLedger]
 ) -> dict[str, bool]:
     """Re-derive the membership facts behind the explicit bases.
 
@@ -185,9 +183,9 @@ def fact_suite(
     families the bases are built from, for membership in the computed
     closure span of K_n (or its commutator ideal) and reports whether
     every member passed; the two negative controls must stay outside.
-    ``ideal`` is the report's ``pivot_ideal_ledger``, read through
-    ``in_ideal``, and ``spanners`` the packed ``kn_ideal_basis(n)`` with
-    its ledger.
+    Ideal membership goes through ``in_ideal``, which reads the [g, g] the
+    report ranks once and checks against its center; ``spanners`` is the
+    packed ``kn_ideal_basis(n)`` with its ledger.
     """
     n = report.n
     span = report.ledger
@@ -198,7 +196,7 @@ def fact_suite(
     # (0, 1, r) and (1, 1, r), r odd
     chains = [t for t in odd if t[0] <= 1 and t[1] == 1]
     results["y-and-xy-chains-in-ideal"] = all(
-        in_ideal(report, ideal, {t: 1}) for t in chains
+        in_ideal(report, {t: 1}) for t in chains
     )
     x_even_z = [t for t in even if t[0] == 1 and t[1] == 0]
     results["x-with-even-z-in-span"] = all(
@@ -221,7 +219,7 @@ def fact_suite(
     vectors, led = spanners
     results["ideal-spanners-independent"] = led.rank == len(vectors)
     results["ideal-spanners-inside-ideal"] = all(
-        in_ideal(report, ideal, v) for v in vectors
+        in_ideal(report, v) for v in vectors
     )
 
     results["all-x-outside-span"] = not span.contains({(n, 0, 0): 1})

@@ -16,6 +16,7 @@ through it.  ``graph_group`` alone picks the group of a graph.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .paulis import ValueTuple
 
@@ -45,8 +46,13 @@ class Permutation(ValueTuple, namedtuple("Permutation", "images")):
         return cls(tuple(range(n)))
 
     def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(j) = self(other(j))."""
-        return Permutation(tuple(self.images[i] for i in other.images))
+        """self after other: (self * other)(j) = self(other(j)).
+
+        A product of two bijections of [0, n) is one, so only the sizes
+        are checked, not the images."""
+        if len(self.images) != len(other.images):
+            raise ValueError("permutation size mismatch")
+        return tuple.__new__(Permutation, (tuple(self.images[i] for i in other.images),))
 
     def cycle_count(self) -> int:
         seen = [False] * self.n
@@ -244,14 +250,23 @@ def graph_automorphisms(graph) -> PermGroup:
 def graph_group(graph) -> PermGroup:
     """The group of a graph (``n``, ``edges``, ``family``): its family's, if
     that maps the edges onto themselves (ValueError if not), else the
-    automorphisms found under ``AUT_VERTEX_CAP``.  S_n is never enumerated."""
+    automorphisms found under ``AUT_VERTEX_CAP``.  S_n is never enumerated.
+
+    The last group built is kept and handed out again for the same graph,
+    so the closure and the bounds of one graph enumerate it once, and no
+    more than one enumerated group outlives its caller."""
+    return _graph_group(graph, graph.family)
+
+
+@lru_cache(maxsize=1)  # family is a key of its own: graphs equal up to the label
+def _graph_group(graph, family: str | None) -> PermGroup:
     named = {"cycle": PermGroup.dihedral, "path": PermGroup.reversal,
-             "complete": PermGroup.symmetric}.get(graph.family)
+             "complete": PermGroup.symmetric}.get(family)
     if named is None:
         return graph_automorphisms(graph)
     group = named(graph.n)
     for g in group.generators:
         im = g.images
         if {tuple(sorted((im[j], im[k]))) for j, k in graph.edges} != graph.edges:
-            raise ValueError(f"the edges contradict the {graph.family!r} label")
+            raise ValueError(f"the edges contradict the {family!r} label")
     return group

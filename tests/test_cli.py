@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from dla_lab import cli, complete_forms, cycle_forms
+from dla_lab import cli, closure, complete_forms, cycle_forms, symmetry
 from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
-from dla_lab.graphs import kn_formulas
+from dla_lab.graphs import Graph, kn_formulas
 from dla_lab.paulis import PauliString, PauliVector
+from dla_lab.symmetry import PermGroup
 
 
 def run(capsys, *argv):
@@ -345,6 +346,22 @@ def test_center_and_ideal_fit_the_closure_budget_of_raw_complete_7(capsys):
     ]
 
 
+def _skew_ideal_rank(monkeypatch, skew):
+    """Pass every [g, g] ledger that closure ranks through skew(report, ledger)."""
+    real = closure._rank_ledger
+
+    def skewed(report, stage, vectors):
+        led = real(report, stage, vectors)
+        return skew(report, led) if stage == "ideal" else led
+
+    monkeypatch.setattr(closure, "_rank_ledger", skewed)
+
+
+def _one_row_more(report, led):
+    led.insert({report.dimension: 1})  # a key outside the pivot coordinates
+    return led
+
+
 @pytest.mark.parametrize(
     "argv, numbers",
     [
@@ -354,15 +371,50 @@ def test_center_and_ideal_fit_the_closure_budget_of_raw_complete_7(capsys):
     ],
 )
 def test_a_broken_center_ideal_split_fails_verification(capsys, monkeypatch, argv, numbers):
-    """compute and sweep check dim(center) + dim([g, g]) == dim(g)."""
-    real = cli.ideal_dimension
-    monkeypatch.setattr(cli, "ideal_dimension", lambda report: real(report) + 1)
+    """compute and sweep check dim(center) + dim([g, g]) == dim(g), through
+    closure: here its [g, g] ledger gets one row too many."""
+    _skew_ideal_rank(monkeypatch, _one_row_more)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == (
         "verification failure: center and commutator ideal must split the "
         f"algebra: {numbers}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify-complete", "--n", "6"), ("compute", "--graph", "complete:6", "--orbit-compress")],
+    ids=["verify-complete", "compute"],
+)
+def test_a_split_broken_by_a_short_ideal_fails_every_command(capsys, monkeypatch, argv):
+    """With closure's [g, g] ranked one row short, verify-complete prints no
+    payload, as compute does: the report checks its own split."""
+    _skew_ideal_rank(monkeypatch, lambda report, led: span_ledger(led.rows[1:]))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "verification failure: center and commutator ideal must split the "
+        "algebra: 1 + 36 != 38\n"
+    )
+
+
+def test_a_sweep_row_enumerates_its_group_once(capsys, monkeypatch):
+    """The closure and the bounds of one ring share its dihedral group:
+    one enumeration per size."""
+    symmetry.graph_group(Graph.path(2))  # no ring's group left over from another test
+    enumerated = []
+    real = PermGroup.elements
+
+    def counted(group):
+        if group._elements is None:
+            enumerated.append(group.n)
+        return real(group)
+
+    monkeypatch.setattr(PermGroup, "elements", counted)
+    code, _, err = run(capsys, "sweep", "--family", "cycle", "--min", "3", "--max", "6")
+    assert (code, err) == (0, "")
+    assert enumerated == [3, 4, 5, 6]
 
 
 

@@ -26,7 +26,6 @@ from dla_lab.closure import (
     ideal_dimension,
     in_ideal,
     nullspace_combos,
-    pivot_ideal_ledger,
     span_ledger,
 )
 from dla_lab.graphs import Graph, maxcut_generators
@@ -499,10 +498,9 @@ def test_pivot_coordinate_ranks_match_full_coordinates(graph, orbit):
     full = _full_ideal_ledger(report)
     assert ideal_dimension(report) == full.rank
     assert center_dimension(report) == report.dimension - _full_center_rank(report)
-    ideal = pivot_ideal_ledger(report)
     rows = report.ledger.rows
     for v in [ad(b) for ad in report._adjoints for b in rows] + rows:
-        assert in_ideal(report, ideal, v) == full.contains(v)
+        assert in_ideal(report, v) == full.contains(v)
     assert [_packed(report, v) for v in commutator_ideal(report)] == full.rows
 
 
@@ -519,11 +517,10 @@ def test_in_ideal_rejects_vectors_outside_the_algebra(graph, orbit, identity, al
     """The identity and all-X commute with everything and lie outside g;
     neither has a pivot key, so only the span guard keeps them out."""
     report = _report(graph, orbit)
-    ideal = pivot_ideal_ledger(report)
     for key in (identity, all_x):
         assert not report.ledger.contains({key: 1})
         assert key not in report.ledger.pivots  # so it restricts to {}
-        assert not in_ideal(report, ideal, {key: 1})
+        assert not in_ideal(report, {key: 1})
 
 
 @pytest.mark.parametrize(
@@ -561,6 +558,63 @@ def test_commutator_ideal_complements_center():
         ideal = commutator_ideal(report)
         assert len(ideal) == ideal_dimension(report)
         assert center_dimension(report) + len(ideal) == report.dimension
+
+
+def _counted_ranks(monkeypatch) -> list:
+    """The stage of every ``closure._rank_ledger`` call, in call order."""
+    ranked = []
+    real = closure._rank_ledger
+
+    def counted(report, stage, vectors):
+        ranked.append(stage)
+        return real(report, stage, vectors)
+
+    monkeypatch.setattr(closure, "_rank_ledger", counted)
+    return ranked
+
+
+def test_center_and_ideal_are_ranked_once_per_report(monkeypatch):
+    """A report keeps its center dimension and its [g, g] ledger the first
+    time each is ranked; every later post-closure stage reads them."""
+    from dla_lab.complete_forms import fact_suite, kn_ideal_basis
+
+    ranked = _counted_ranks(monkeypatch)
+    report = generate_dla_orbit_compressed(Graph.complete(6))
+    spanners = [v.to_dict() for v in kn_ideal_basis(6)]
+    assert center_dimension(report) == 1
+    assert ideal_dimension(report) == 37
+    assert all(in_ideal(report, v) for v in spanners)
+    assert all(fact_suite(report, (spanners, span_ledger(spanners))).values())
+    assert len(commutator_ideal(report)) == 37
+    assert center_dimension(report) + ideal_dimension(report) == report.dimension
+    assert ranked == ["center", "ideal"]
+
+    ranked.clear()
+    report = generate_dla(maxcut_generators(Graph.cycle(5)))
+    assert len(commutator_ideal(report)) == 12  # ranks both, ideal first
+    assert (center_dimension(report), ideal_dimension(report)) == (2, 12)
+    assert ranked == ["ideal", "center"]
+
+
+def test_a_broken_split_raises_and_is_not_kept(monkeypatch):
+    """With [g, g] ranked one row short, the second stage of the split
+    raises; the bad ledger is not kept, so a later call ranks again."""
+    real = closure._rank_ledger
+
+    def short(report, stage, vectors):
+        led = real(report, stage, vectors)
+        return span_ledger(led.rows[1:]) if stage == "ideal" else led
+
+    report = generate_dla(maxcut_generators(Graph.cycle(5)))
+    assert center_dimension(report) == 2
+    monkeypatch.setattr(closure, "_rank_ledger", short)
+    for _ in range(2):  # the second round ranks again, and fails again
+        with pytest.raises(ArithmeticError, match=r"must split the algebra: 2 \+ 11 != 14"):
+            ideal_dimension(report)
+        with pytest.raises(ArithmeticError, match="must split"):
+            in_ideal(report, report.ledger.rows[0])
+    monkeypatch.setattr(closure, "_rank_ledger", real)
+    assert ideal_dimension(report) == 12
 
 
 def test_ideal_elements_are_brackets_in_span():

@@ -17,7 +17,7 @@ from dla_lab import (
     kn_ideal_basis,
     sym_term,
 )
-from dla_lab.closure import pivot_ideal_ledger, span_ledger
+from dla_lab.closure import span_ledger
 from dla_lab.complete_forms import SymOrbitSum
 
 
@@ -197,7 +197,7 @@ def test_explicit_basis_spans_the_closure(n):
 def test_fact_suite_all_hold(n):
     report = generate_dla_orbit_compressed(Graph.complete(n))
     spanners = [v.to_dict() for v in kn_ideal_basis(n)]
-    results = fact_suite(report, pivot_ideal_ledger(report), (spanners, span_ledger(spanners)))
+    results = fact_suite(report, (spanners, span_ledger(spanners)))
     assert results, "fact suite must not be empty"
     failed = [name for name, ok in results.items() if not ok]
     assert not failed

@@ -14,7 +14,13 @@ import pytest
 
 from dla_lab.closure import DlaReport
 
-PRIVATE = {name for name in inspect.signature(DlaReport).parameters if name.startswith("_")}
+#: the ``_``-prefixed constructor parameters, and every ``_``-prefixed
+#: attribute ``DlaReport.__init__`` sets
+PRIVATE = {
+    name
+    for name in [*inspect.signature(DlaReport).parameters, *vars(DlaReport(0, 0, 0, 1, "pauli"))]
+    if name.startswith("_")
+}
 SOURCES = [
     path
     for path in sorted((Path(__file__).parent.parent / "src" / "dla_lab").glob("*.py"))

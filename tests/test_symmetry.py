@@ -28,6 +28,14 @@ def test_permutation_compose_inverse():
     assert Permutation.identity(4).images == (0, 1, 2, 3)
 
 
+def test_compose_refuses_a_size_mismatch():
+    """compose skips the bijection check, so it checks the sizes instead."""
+    small, large = Permutation((1, 0)), Permutation((2, 0, 1))
+    for a, b in ((small, large), (large, small)):
+        with pytest.raises(ValueError, match="size mismatch"):
+            a.compose(b)
+
+
 def test_cycle_count():
     assert Permutation((1, 2, 0)).cycle_count() == 1
     assert Permutation((0, 1, 2)).cycle_count() == 3
