@@ -48,6 +48,7 @@ from .closure import (
     generate_dla,
     generate_dla_orbit_compressed,
     ideal_dimension,
+    letter_counts,
     span_ledger,
 )
 from .graphs import Graph, dimension_bounds, kn_formulas, maxcut_generators, parse_graph_spec
@@ -136,23 +137,16 @@ def _emit(payload: dict, output: str) -> None:
 def _basis_parity_ok(report: DlaReport) -> bool:
     """Every basis element YZ-even, with identity and all-X excluded.
 
-    Reads the keys of the closure ledger's rows: every basis of a span
-    touches the same keys.  Type keys ``(p, q, r)`` count X, Y and Z;
-    packed keys ``(x_mask << n) | z_mask`` have one z bit per Y or Z.
-    Both checks are invariant under qubit permutations, so testing orbit
-    representatives is equivalent to testing every string.
+    Reads the letter counts of the keys of the closure ledger's rows:
+    every basis of a span touches the same keys.  Both checks are
+    invariant under qubit permutations, so testing orbit representatives
+    is equivalent to testing every string.
     """
     n = report.n
-    keys = (key for row in report.ledger.rows for key in row)
-    if report.coords == "complete-orbit":
-        return all(
-            (q + r) % 2 == 0 and (p, q, r) not in ((0, 0, 0), (n, 0, 0))
-            for p, q, r in keys
-        )
-    mask = (1 << n) - 1
+    excluded = ((0, 0, 0), (n, 0, 0))  # the identity and all-X
+    counts = (letter_counts(n, key) for row in report.ledger.rows for key in row)
     return all(
-        (key & mask).bit_count() % 2 == 0 and key not in (0, mask << n)
-        for key in keys
+        (ny + nz) % 2 == 0 and (nx, ny, nz) not in excluded for nx, ny, nz in counts
     )
 
 
@@ -450,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=DEFAULT_MEMORY_BUDGET,
         metavar="ENTRIES",
-        help="abort once a closure, center or ideal ledger holds this many "
-        "entries (default %(default)s)",
+        help="abort once a closure, center or ideal ledger, or an orbit-image "
+        "memo, holds this many entries (default %(default)s)",
     )
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument(

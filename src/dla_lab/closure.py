@@ -47,6 +47,19 @@ when the pivots are fewer than the row's terms.
 The center's basis is ``nullspace_combos`` of the stacked restricted
 images, and every stage runs under the closure's memory budget.
 
+Pauli strings are graded by two parities, of #X + #Y and of #Y
+(``letter_counts`` decodes a key of either kind): anticommuting strings
+of grades (a, b) and (c, d) multiply to grade (a + c, b + d + 1), since
+the letters anticommute at an odd number of sites, each of which flips
+the count of Y.  When every generator is of one grade, so is every
+reduced row (the span is graded, and its canonical rows are unique), and
+[G_j, .] takes the rows of each grade into one grade, a different one for
+each.  The stacked map is then block-diagonal over the grades of the
+rows' pivots: ``center_dimension`` ranks each grade's images in a ledger
+of its own, dropped before the next, and sums the ranks.  No two grades'
+images share a key, so one ledger would take the same elimination steps,
+while holding every grade's rows at once.
+
 The report owns the split g = z(g) + [g, g]: the center's dimension and
 the ledger of [g, g] are each ranked once per report and kept on it.  As
 soon as both are in, they must add up to dim(g), or ``ArithmeticError``
@@ -85,6 +98,23 @@ def _check_budget(holder: str, count: int, budget: int | None) -> None:
         raise ResourceBudgetError(
             f"{holder} {count} entries, over the budget of {budget}"
         )
+
+
+def letter_counts(n: int, key) -> tuple[int, int, int]:
+    """(#X, #Y, #Z) of a ledger key: a type key ``(p, q, r)`` is its own
+    counts; a packed key ``(x_mask << n) | z_mask`` has an X where only the
+    x bit is set, a Y where both are and a Z where only the z bit is."""
+    if type(key) is tuple:
+        return key
+    x, z = key >> n, key & ((1 << n) - 1)
+    ny = (x & z).bit_count()
+    return x.bit_count() - ny, ny, z.bit_count() - ny
+
+
+def _grade(n: int, key) -> tuple[int, int]:
+    """The key's parities of #X + #Y and of #Y."""
+    nx, ny, _ = letter_counts(n, key)
+    return (nx + ny) & 1, ny & 1
 
 
 def _add_term(acc: dict, key, c) -> None:
@@ -375,12 +405,14 @@ class DlaReport:
     ``generator_count`` is the number of independent generators used (the
     size of B0); the center and ideal stages act through their adjoint maps
     ``v -> [G_j, v]`` under the ledger's memory budget, and keep their
-    results, which must split the algebra, on the report.  Reports are
-    equal when their ledgers span the same space.
+    results, which must split the algebra, on the report.  ``_graded``
+    says every generator of B0 is of one grade.  Reports are equal when
+    their ledgers span the same space.
     """
 
     def __init__(self, dimension: int, degree: int, generator_count: int, n: int,
-                 coords: str, ledger: LinearLedger = None, _adjoints: list = None):
+                 coords: str, ledger: LinearLedger = None, _adjoints: list = None,
+                 _graded: bool = False):
         self.dimension = dimension
         self.degree = degree
         self.generator_count = generator_count
@@ -388,6 +420,7 @@ class DlaReport:
         self.coords = coords
         self.ledger = ledger
         self._adjoints = _adjoints
+        self._graded = _graded
         self._split: dict = {}  # "center": its dimension, "ideal": its ledger
 
     def __eq__(self, other):
@@ -416,6 +449,7 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
     ledger = LinearLedger(memory_budget)
     adjoints = []
     frontier = []
+    graded = True
     round_no = 0
     try:
         for gd, ad in generators:
@@ -423,6 +457,7 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
             if row is not None:
                 adjoints.append(ad)
                 frontier.append(row)
+                graded = graded and len({_grade(n, k) for k in gd}) == 1
         while frontier:
             round_no += 1
             new = []
@@ -446,6 +481,7 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
         coords=coords,
         ledger=ledger,
         _adjoints=adjoints,
+        _graded=graded,
     )
 
 
@@ -595,12 +631,34 @@ def _keep(report: DlaReport, stage: str, result) -> None:
     report._split = split
 
 
+def _grade_groups(report: DlaReport) -> list[list[dict]]:
+    """The basis rows grouped by the grade of their pivot key, each group
+    in ledger order, the largest group first so that a rank over budget
+    gives up before ranking the rest; one group when some generator mixes
+    grades.  A row with a key of another grade than its pivot's raises
+    ArithmeticError."""
+    rows = report.ledger.rows
+    if not report._graded:
+        return [rows]
+    n = report.n
+    groups: dict = {}
+    for pivot, row in zip(report.ledger.pivots, rows):
+        grade = _grade(n, pivot)
+        if any(_grade(n, k) != grade for k in row):
+            raise ArithmeticError(f"basis row with pivot {pivot!r} mixes grades")
+        groups.setdefault(grade, []).append(row)
+    return sorted(groups.values(), key=len, reverse=True)
+
+
 def center_dimension(report: DlaReport) -> int:
-    """dim of the center via the rank of the stacked adjoint map, ranked
-    once per report."""
+    """dim(g) minus the rank of the stacked adjoint map, ranked once per
+    report.  The map is block-diagonal over the grades of the rows' pivots
+    (module docstring), so its rank is the sum of each grade's rank, taken
+    in a ledger of its own that is dropped before the next grade's: the
+    eliminations of one ledger, with one grade's rows held at a time."""
     if "center" not in report._split:
-        stacked = _center_map(report, report.ledger.rows)
-        rank = _rank_ledger(report, "center", stacked).rank
+        rank = sum(_rank_ledger(report, "center", _center_map(report, rows)).rank
+                   for rows in _grade_groups(report))
         _keep(report, "center", report.dimension - rank)
     return report._split["center"]
 

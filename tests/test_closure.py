@@ -8,6 +8,7 @@ tests/oracles/dense_oracle.py, which shares no code with the package.
 import inspect
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -429,8 +430,10 @@ def test_center_is_bounded_by_the_memory_budget():
 
 
 def test_center_fits_the_budget_of_the_center_rank():
-    """On orbit complete:28 the center rank's ledger peaks at 40,899
-    entries; the center basis fits in that budget too."""
+    """On orbit complete:28 one ledger over every basis row would peak at
+    40,899 entries; the center basis, solved over every row at once, fits
+    in that budget too.  The center rank, one grade at a time, needs
+    16,832 (``test_center_rank_holds_one_grade_at_a_time``)."""
     report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=40_899)
     assert center_dimension(report) == 1
     (z,) = center(report)
@@ -573,6 +576,115 @@ def _counted_ranks(monkeypatch) -> list:
     return ranked
 
 
+def test_center_rank_holds_one_grade_at_a_time():
+    """Orbit complete:28 ranks its center in four ledgers, one per grade of
+    the pivots; the largest peaks at 16,832 entries, where one ledger over
+    every row peaked at 40,899."""
+    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=16_832)
+    assert center_dimension(report) == 1
+    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=16_831)
+    with pytest.raises(ResourceBudgetError, match="16832 entries.*center stage"):
+        center_dimension(report)
+
+
+def _one_ledger_center_dimension(report):
+    """dim(g) minus the rank of every row's stacked images in one ledger."""
+    return report.dimension - span_ledger(closure._center_map(report, report.ledger.rows)).rank
+
+
+def _star(n):
+    return Graph(n, [(0, j) for j in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "graph, orbit",
+    [_case(*p.values, p.id) for p in _corpus_graphs()]
+    + [
+        _case(Graph.complete(7), "complete-7"),
+        _case(Graph.complete(16), "complete-16", True),
+        _case(Graph.complete(24), "complete-24", True),
+        _case(Graph.complete(28), "complete-28", True),
+        _case(Graph.cycle(12), "cycle-12", True),
+        _case(Graph.cycle(24), "cycle-24", True),
+        _case(Graph.path(9), "path-9", True),
+        _case(_star(7), "star-7", True),
+    ],
+)
+def test_center_ranked_by_grade_equals_one_ledger(graph, orbit, monkeypatch):
+    """The MaxCut generators are each of one grade, so the center is ranked
+    in one ledger per grade of the pivots, and the ranks add up to the rank
+    of one ledger over every row."""
+    report = _report(graph, orbit)
+    assert report._graded
+    ranked = _counted_ranks(monkeypatch)
+    assert center_dimension(report) == _one_ledger_center_dimension(report)
+    assert ranked == ["center"] * len({closure._grade(report.n, k) for k in report.ledger.pivots})
+    assert len(ranked) > 1
+
+
+def _pauli_sum(n, *labels):
+    return PauliVector(n, {PauliString.from_label(label): 1 for label in labels})
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [("XI", "YI"), ("ZZ",)],
+        [("XI", "ZZ"), ("IZ",)],
+        [("XII", "ZZI"), ("IXI", "IZZ"), ("IIY",)],
+        [("XY",), ("ZI", "IX"), ("YY",)],
+    ],
+    ids=lambda gens: "+".join(gens[0]),
+)
+def test_center_of_a_mixed_generator_is_ranked_in_one_ledger(gens, monkeypatch):
+    """A generator that mixes grades gives one group: the stacked map is
+    ranked in one ledger, as before the grading."""
+    n = len(gens[0][0])
+    report = generate_dla([_pauli_sum(n, *labels) for labels in gens])
+    assert not report._graded
+    ranked = _counted_ranks(monkeypatch)
+    assert center_dimension(report) == _one_ledger_center_dimension(report)
+    assert ranked == ["center"]
+
+
+@pytest.mark.parametrize(
+    "graph, orbit, flip",
+    [
+        (Graph.cycle(5), False, lambda k: k ^ (1 << 5)),  # one more X
+        (Graph.complete(6), True, lambda k: (k[0] + 1, *k[1:])),
+    ],
+    ids=["raw", "type"],
+)
+def test_a_basis_row_that_mixes_grades_raises(graph, orbit, flip, monkeypatch):
+    """Every key of a row must share its pivot's grade, or the per-grade
+    ranks would not add up."""
+    report = _report(graph, orbit)
+    row, pivot = report.ledger.rows[0], report.ledger.pivots[0]
+    monkeypatch.setitem(row, flip(pivot), 1)
+    with pytest.raises(ArithmeticError, match="mixes grades"):
+        center_dimension(report)
+
+
+def test_letter_counts_and_the_grading_of_the_bracket():
+    """Packed and type keys decode to (#X, #Y, #Z); the bracket of
+    anticommuting strings of grades (a, b) and (c, d) has grade
+    (a + c, b + d + 1)."""
+    assert closure.letter_counts(4, pack_pauli(PauliString.from_label("XYZI"))) == (1, 1, 1)
+    assert closure.letter_counts(4, (2, 1, 0)) == (2, 1, 0)
+    rng = random.Random(5)
+    n, seen = 5, 0
+    for _ in range(2_000):
+        u, v = rng.getrandbits(2 * n), rng.getrandbits(2 * n)
+        out = pauli_bracket(n, {u: 1}, {v: 1})
+        if not out:  # commuting strings
+            continue
+        (w,) = out
+        (a, b), (c, d) = closure._grade(n, u), closure._grade(n, v)
+        assert closure._grade(n, w) == ((a + c) % 2, (b + d + 1) % 2)
+        seen += 1
+    assert seen > 500
+
+
 def test_center_and_ideal_are_ranked_once_per_report(monkeypatch):
     """A report keeps its center dimension and its [g, g] ledger the first
     time each is ranked; every later post-closure stage reads them."""
@@ -587,13 +699,13 @@ def test_center_and_ideal_are_ranked_once_per_report(monkeypatch):
     assert all(fact_suite(report, (spanners, span_ledger(spanners))).values())
     assert len(commutator_ideal(report)) == 37
     assert center_dimension(report) + ideal_dimension(report) == report.dimension
-    assert ranked == ["center", "ideal"]
+    assert ranked == ["center"] * 4 + ["ideal"]  # one center ledger per grade
 
     ranked.clear()
     report = generate_dla(maxcut_generators(Graph.cycle(5)))
     assert len(commutator_ideal(report)) == 12  # ranks both, ideal first
     assert (center_dimension(report), ideal_dimension(report)) == (2, 12)
-    assert ranked == ["ideal", "center"]
+    assert ranked == ["ideal"] + ["center"] * 4
 
 
 def test_a_broken_split_raises_and_is_not_kept(monkeypatch):

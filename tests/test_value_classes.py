@@ -172,6 +172,7 @@ def test_constructor_signatures_and_defaults():
     assert list(inspect.signature(SpectralReport).parameters)[-1] == "cross_residual"
     assert list(inspect.signature(DlaReport).parameters) == [
         "dimension", "degree", "generator_count", "n", "coords", "ledger", "_adjoints",
+        "_graded",
     ]
 
 
