@@ -55,18 +55,18 @@ the count of Y.  When every generator is of one grade, so is every
 reduced row (the span is graded, and its canonical rows are unique), and
 [G_j, .] takes the rows of each grade into one grade, a different one for
 each.  The stacked map is then block-diagonal over the grades of the
-rows' pivots: ``center_dimension`` ranks each grade's images in a ledger
-of its own, dropped before the next, and sums the ranks.  No two grades'
-images share a key, so one ledger would take the same elimination steps,
-while holding every grade's rows at once.
+rows' pivots: the center stage ranks each grade's images in a ledger of
+its own, dropped before the next, and solves the center's basis one
+grade at a time.  No two grades' images share a key, so one ledger
+would take the same elimination steps, while holding every grade's rows
+at once.
 
-The report owns the split g = z(g) + [g, g]: the center's dimension and
-the ledger of [g, g] are each ranked once per report and kept on it.  As
-soon as both are in, they must add up to dim(g), or ``ArithmeticError``
-is raised and the second result is not kept.  ``ideal_dimension`` is the
-ideal ledger's rank, ``in_ideal`` tests a vector of the algebra by its
-restriction, and ``commutator_ideal`` lifts the ledger's rows back to the
-closure's coordinates.
+The report owns the split g = z(g) + [g, g]: ``_split`` ranks the center
+and then [g, g] once per report, checks that their dimensions add up to
+dim(g), and keeps both.  ``center_dimension`` and ``ideal_dimension`` read
+it, ``in_ideal`` tests a vector of the algebra by its restriction to the
+ideal ledger, and ``commutator_ideal`` lifts that ledger's rows back to
+the closure's coordinates.
 """
 
 from __future__ import annotations
@@ -421,7 +421,7 @@ class DlaReport:
         self.ledger = ledger
         self._adjoints = _adjoints
         self._graded = _graded
-        self._split: dict = {}  # "center": its dimension, "ideal": its ledger
+        self._split: tuple | None = None  # (center dimension, [g, g] ledger)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -599,41 +599,9 @@ def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
         return span_ledger(vectors, report.ledger.memory_budget)
 
 
-def center(report: DlaReport) -> list:
-    """Basis of the center: elements of the span killed by every generator.
-
-    An element commuting with all generators commutes with the whole
-    closure (Jacobi identity), so the center is the null space of the
-    stacked maps v -> [G_j, v] restricted to the basis span, solved by
-    :func:`nullspace_combos` under the report's memory budget.  Exact.
-    """
-    rows = report.ledger.rows
-    with _stage("center"):
-        combos = nullspace_combos(
-            _center_map(report, rows), report.ledger.memory_budget
-        )
-    return [_publish(report, _combine_basis(rows, c)) for c in combos]
-
-
-def _keep(report: DlaReport, stage: str, result) -> None:
-    """Keep a stage's result on the report: the center's dimension, or the
-    ledger of [g, g].  Once both are in, raise ArithmeticError unless
-    dim(center) + dim([g, g]) == dim(g), which holds exactly for every
-    compact Lie algebra; a result that breaks the split is not kept."""
-    split = {**report._split, stage: result}
-    if len(split) == 2:
-        center_dim, ideal_dim = split["center"], split["ideal"].rank
-        if center_dim + ideal_dim != report.dimension:
-            raise ArithmeticError(
-                "center and commutator ideal must split the algebra: "
-                f"{center_dim} + {ideal_dim} != {report.dimension}"
-            )
-    report._split = split
-
-
 def _grade_groups(report: DlaReport) -> list[list[dict]]:
     """The basis rows grouped by the grade of their pivot key, each group
-    in ledger order, the largest group first so that a rank over budget
+    in ledger order, the largest group first so that a stage over budget
     gives up before ranking the rest; one group when some generator mixes
     grades.  A row with a key of another grade than its pivot's raises
     ArithmeticError."""
@@ -650,45 +618,70 @@ def _grade_groups(report: DlaReport) -> list[list[dict]]:
     return sorted(groups.values(), key=len, reverse=True)
 
 
-def center_dimension(report: DlaReport) -> int:
-    """dim(g) minus the rank of the stacked adjoint map, ranked once per
-    report.  The map is block-diagonal over the grades of the rows' pivots
-    (module docstring), so its rank is the sum of each grade's rank, taken
-    in a ledger of its own that is dropped before the next grade's: the
-    eliminations of one ledger, with one grade's rows held at a time."""
-    if "center" not in report._split:
+def center(report: DlaReport) -> list:
+    """Basis of the center: elements of the span killed by every generator.
+
+    An element commuting with all generators commutes with the whole
+    closure (Jacobi identity), so the center is the null space of the
+    stacked maps v -> [G_j, v] restricted to the basis span.  The map is
+    block-diagonal over the grades of the rows' pivots (module docstring),
+    so its null space is the sum of each grade's, solved by
+    :func:`nullspace_combos` one grade at a time under the report's memory
+    budget.  Exact.
+    """
+    out = []
+    with _stage("center"):
+        for rows in _grade_groups(report):
+            combos = nullspace_combos(
+                _center_map(report, rows), report.ledger.memory_budget
+            )
+            out += (_publish(report, _combine_basis(rows, c)) for c in combos)
+    return out
+
+
+def _split(report: DlaReport) -> tuple[int, LinearLedger]:
+    """The split g = z(g) + [g, g], ranked once per report and kept on it
+    as (dim of the center, ledger of [g, g] in pivot coordinates).
+
+    The center's dimension is dim(g) minus the rank of the stacked adjoint
+    map, the sum of its grades' ranks, each ranked in a ledger dropped
+    before the next grade's.  [g, g] is spanned by the images [G_j, b] of
+    the basis rows: by Jacobi induction any [u, v] with u, v in the
+    closure reduces to brackets of generators with closure elements.
+    Raises ArithmeticError, keeping nothing, unless the two dimensions add
+    up to dim(g), as they do for every compact Lie algebra.
+    """
+    if report._split is None:
         rank = sum(_rank_ledger(report, "center", _center_map(report, rows)).rank
                    for rows in _grade_groups(report))
-        _keep(report, "center", report.dimension - rank)
-    return report._split["center"]
-
-
-def _ideal_ledger(report: DlaReport) -> LinearLedger:
-    """Ledger spanning [g, g] = span{[G_j, b] : b in basis}, in the basis's
-    pivot coordinates, ranked once per report; the ideal's rank, membership
-    tests and basis all read it.
-
-    For a generated algebra this bracket stream spans the full ideal: by
-    Jacobi induction any [u, v] with u, v in the closure reduces to brackets
-    of generators with closure elements.
-    """
-    if "ideal" not in report._split:
+        center_dim = report.dimension - rank
         rows = report.ledger.rows
         images = (_pivot_image(report, ad, b) for ad in report._adjoints for b in rows)
-        _keep(report, "ideal", _rank_ledger(report, "ideal", images))
-    return report._split["ideal"]
+        ideal = _rank_ledger(report, "ideal", images)
+        if center_dim + ideal.rank != report.dimension:
+            raise ArithmeticError(
+                "center and commutator ideal must split the algebra: "
+                f"{center_dim} + {ideal.rank} != {report.dimension}"
+            )
+        report._split = center_dim, ideal
+    return report._split
+
+
+def center_dimension(report: DlaReport) -> int:
+    """dim of the center, read from the report's split."""
+    return _split(report)[0]
 
 
 def ideal_dimension(report: DlaReport) -> int:
-    """dim of [g, g]: the rank of the images [G_j, b] in pivot coordinates."""
-    return _ideal_ledger(report).rank
+    """dim of [g, g], read from the report's split."""
+    return _split(report)[1].rank
 
 
 def in_ideal(report: DlaReport, vec: dict) -> bool:
     """Exact membership of vec (closure coordinates) in [g, g], by its
     restriction to the pivot coordinates.  The restriction is one-to-one
     on g only: the identity, outside g, restricts to zero."""
-    ideal = _ideal_ledger(report)
+    ideal = _split(report)[1]
     return report.ledger.contains(vec) and ideal.contains(_restrict(report, vec))
 
 
@@ -699,13 +692,8 @@ def commutator_ideal(report: DlaReport) -> list:
     c / row_i[pivot_i] times row_i.  The smallest key of a vector in g is a
     pivot, so elimination in pivot coordinates takes the same steps as over
     every key: the lifted rows are the full-coordinate ledger's rows.
-
-    Reads the center's dimension too, so it raises ArithmeticError unless
-    dim(center) + dim(ideal) == dim(g); neither is ranked again if the
-    report already holds it.
     """
-    led = _ideal_ledger(report)
-    center_dimension(report)
+    led = _split(report)[1]
     rows, pivots, top = report.ledger.rows, report.ledger.pivots, report.dimension - 1
     out = []
     for w in led.rows:

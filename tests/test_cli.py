@@ -368,11 +368,12 @@ def _one_row_more(report, led):
         (("compute", "--graph", "cycle:5"), "2 + 13 != 14"),
         (("compute", "--graph", "complete:6", "--orbit-compress"), "1 + 38 != 38"),
         (("sweep", "--family", "cycle", "--min", "3", "--max", "4"), "2 + 7 != 8"),
+        (("verify-cycle", "--n", "5"), "2 + 13 != 14"),
     ],
 )
 def test_a_broken_center_ideal_split_fails_verification(capsys, monkeypatch, argv, numbers):
-    """compute and sweep check dim(center) + dim([g, g]) == dim(g), through
-    closure: here its [g, g] ledger gets one row too many."""
+    """compute, sweep and verify-cycle check dim(center) + dim([g, g]) ==
+    dim(g), through closure: here its [g, g] ledger gets one row too many."""
     _skew_ideal_rank(monkeypatch, _one_row_more)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")

@@ -420,22 +420,21 @@ def test_dependent_generator_is_dropped_from_every_stage():
 
 
 def test_center_is_bounded_by_the_memory_budget():
-    # the closure of orbit complete:24 fits in 5,000 entries (2,739 at its
-    # peak); the center's null-space ledger needs 8,351 and must give up,
-    # naming its stage
-    report = generate_dla_orbit_compressed(Graph.complete(24), memory_budget=5_000)
+    # the closure of orbit complete:24 fits in 3,000 entries (2,739 at its
+    # peak); the null space of the center's largest grade needs 3,045 and
+    # must give up, naming its stage
+    report = generate_dla_orbit_compressed(Graph.complete(24), memory_budget=3_000)
     assert report.ledger.entry_count == 2_662
     with pytest.raises(ResourceBudgetError, match="center stage"):
         center(report)
 
 
 def test_center_fits_the_budget_of_the_center_rank():
-    """On orbit complete:28 one ledger over every basis row would peak at
-    40,899 entries; the center basis, solved over every row at once, fits
-    in that budget too.  The center rank, one grade at a time, needs
+    """On orbit complete:28 the center basis, solved one grade at a time,
+    needs 4,743 entries, where one null space over every basis row needed
+    40,899; it fits in 5,000, as the closure does.  The center rank needs
     16,832 (``test_center_rank_holds_one_grade_at_a_time``)."""
-    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=40_899)
-    assert center_dimension(report) == 1
+    report = generate_dla_orbit_compressed(Graph.complete(28), memory_budget=5_000)
     (z,) = center(report)
     assert all(not ad(z) for ad in report._adjoints)
 
@@ -612,14 +611,15 @@ def _star(n):
 )
 def test_center_ranked_by_grade_equals_one_ledger(graph, orbit, monkeypatch):
     """The MaxCut generators are each of one grade, so the center is ranked
-    in one ledger per grade of the pivots, and the ranks add up to the rank
-    of one ledger over every row."""
+    in one ledger per grade of the pivots, then the ideal in one, and the
+    center's ranks add up to the rank of one ledger over every row."""
     report = _report(graph, orbit)
     assert report._graded
     ranked = _counted_ranks(monkeypatch)
     assert center_dimension(report) == _one_ledger_center_dimension(report)
-    assert ranked == ["center"] * len({closure._grade(report.n, k) for k in report.ledger.pivots})
-    assert len(ranked) > 1
+    grades = len({closure._grade(report.n, k) for k in report.ledger.pivots})
+    assert ranked == ["center"] * grades + ["ideal"]
+    assert grades > 1
 
 
 def _pauli_sum(n, *labels):
@@ -638,13 +638,13 @@ def _pauli_sum(n, *labels):
 )
 def test_center_of_a_mixed_generator_is_ranked_in_one_ledger(gens, monkeypatch):
     """A generator that mixes grades gives one group: the stacked map is
-    ranked in one ledger, as before the grading."""
+    ranked in one ledger, as before the grading, then the ideal in one."""
     n = len(gens[0][0])
     report = generate_dla([_pauli_sum(n, *labels) for labels in gens])
     assert not report._graded
     ranked = _counted_ranks(monkeypatch)
     assert center_dimension(report) == _one_ledger_center_dimension(report)
-    assert ranked == ["center"]
+    assert ranked == ["center", "ideal"]
 
 
 @pytest.mark.parametrize(
@@ -686,8 +686,9 @@ def test_letter_counts_and_the_grading_of_the_bracket():
 
 
 def test_center_and_ideal_are_ranked_once_per_report(monkeypatch):
-    """A report keeps its center dimension and its [g, g] ledger the first
-    time each is ranked; every later post-closure stage reads them."""
+    """A report ranks its center and then its [g, g] the first time any
+    reader asks for either, and keeps both; every later post-closure stage
+    reads them."""
     from dla_lab.complete_forms import fact_suite, kn_ideal_basis
 
     ranked = _counted_ranks(monkeypatch)
@@ -703,30 +704,33 @@ def test_center_and_ideal_are_ranked_once_per_report(monkeypatch):
 
     ranked.clear()
     report = generate_dla(maxcut_generators(Graph.cycle(5)))
-    assert len(commutator_ideal(report)) == 12  # ranks both, ideal first
+    assert len(commutator_ideal(report)) == 12  # ranks both, center first
     assert (center_dimension(report), ideal_dimension(report)) == (2, 12)
-    assert ranked == ["ideal"] + ["center"] * 4
+    assert ranked == ["center"] * 4 + ["ideal"]
 
 
 def test_a_broken_split_raises_and_is_not_kept(monkeypatch):
-    """With [g, g] ranked one row short, the second stage of the split
-    raises; the bad ledger is not kept, so a later call ranks again."""
+    """With [g, g] ranked one row short, the split raises and keeps
+    nothing: every reader ranks the center and the ideal again, and fails
+    again."""
     real = closure._rank_ledger
+    ranked = []
 
     def short(report, stage, vectors):
+        ranked.append(stage)
         led = real(report, stage, vectors)
         return span_ledger(led.rows[1:]) if stage == "ideal" else led
 
     report = generate_dla(maxcut_generators(Graph.cycle(5)))
-    assert center_dimension(report) == 2
     monkeypatch.setattr(closure, "_rank_ledger", short)
-    for _ in range(2):  # the second round ranks again, and fails again
+    for read in (center_dimension, ideal_dimension, commutator_ideal):
         with pytest.raises(ArithmeticError, match=r"must split the algebra: 2 \+ 11 != 14"):
-            ideal_dimension(report)
-        with pytest.raises(ArithmeticError, match="must split"):
-            in_ideal(report, report.ledger.rows[0])
+            read(report)
+    with pytest.raises(ArithmeticError, match="must split"):
+        in_ideal(report, report.ledger.rows[0])
+    assert ranked == (["center"] * 4 + ["ideal"]) * 4
     monkeypatch.setattr(closure, "_rank_ledger", real)
-    assert ideal_dimension(report) == 12
+    assert (center_dimension(report), ideal_dimension(report)) == (2, 12)
 
 
 def test_ideal_elements_are_brackets_in_span():

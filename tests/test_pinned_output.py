@@ -315,6 +315,72 @@ ok: True
   "note": "the commutator ideal may decompose as a direct sum of su(floor((j+1)/2)+1) blocks; unverified"
 }
 """,
+    "verify-cycle --n 10": """\
+{
+  "schema": "dla-lab/1",
+  "command": "verify-cycle",
+  "n": 10,
+  "tolerance": 1e-09,
+  "checks": [
+    {
+      "name": "dimension-3n-minus-1",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "center-dimension-2",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "center-commutes",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "closure-span-in-orbit-basis",
+      "status": "ok",
+      "residual": 0.0
+    },
+    {
+      "name": "bracket-table-homomorphism",
+      "status": "skip",
+      "residual": null
+    },
+    {
+      "name": "canonical-bracket-relations",
+      "status": "ok",
+      "residual": 1.43762428039e-16
+    },
+    {
+      "name": "su2-bracket-relations",
+      "status": "ok",
+      "residual": 2.671474153e-16
+    },
+    {
+      "name": "alternating-power-eigenvalue",
+      "status": "ok",
+      "residual": 1.7763568394e-15
+    },
+    {
+      "name": "power-recursion-identity",
+      "status": "ok",
+      "residual": 2.96059473233e-16
+    },
+    {
+      "name": "power-trig-closed-form",
+      "status": "ok",
+      "residual": 9.43689570931e-16
+    },
+    {
+      "name": "spectral-closed-forms",
+      "status": "ok",
+      "residual": 3.12638803734e-13
+    }
+  ],
+  "ok": true
+}
+""",
     "verify-cycle --n 13": """\
 {
   "schema": "dla-lab/1",
