@@ -25,8 +25,8 @@ The same engine runs in three coordinate systems:
   bracketed by the package's one Pauli kernel, ``paulis.pauli_bracket``;
 * group-orbit coordinates for any graph but K_n (keys are the packed
   canonical representatives of orbits under the graph's group,
-  ``symmetry.graph_group``, from the one orbit map
-  ``symmetry.PackedOrbits``), bracketed by the same kernel on a
+  ``symmetry.graph_group``, from its one orbit map
+  ``PermGroup.orbits``), bracketed by the same kernel on a
   representative against a generator's whole expansion, then folded back
   to orbits, once per (generator, orbit key);
 * type coordinates ``(p, q, r)`` for complete graphs, via the two
@@ -517,7 +517,7 @@ def generate_dla_orbit_compressed(
             ({(0, 0, 2): 1}, partial(ad_cut_type, n)),
         ]
         return _closure_engine(n, "complete-orbit", pairs, memory_budget)
-    orbits = PackedOrbits(group)
+    orbits = group.orbits
     x_keys = [1 << (n + j) for j in range(n)]
     zz_keys = [(1 << j) | (1 << k) for j, k in graph.edges]
     gens = [dict.fromkeys(sorted({orbits.orbit(k)[0] for k in ks}), 1)

@@ -16,9 +16,9 @@ YXY(n-1) = ZXZ(n-1) = XN1, while YXZ vanishes at both walls; reflecting
 an offset past the far wall (t -> 2n - t - 2) swaps YXY with ZXZ and
 flips the sign of YXZ.  ``orbit_term`` and the folded structure-constant
 table behind ``orbit_bracket`` apply these reductions, so stored sums only
-ever hold canonical offsets.  The table is built whole for each ring size,
-one row and one column per stored key, each entry carrying its whole
-sign and the position of its output key.
+ever hold canonical offsets.  The table is built whole, for the last ring
+size only (every per-size cache keeps one size), one row and column per
+stored key, each entry carrying its whole sign and its output position.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
 (:class:`~dla_lab.paulis.SparseVector`) keyed by ``(kind index, offset)``
@@ -28,11 +28,11 @@ and ``coeff`` take kind names.  Coefficients are duck-typed: ints and
 Fractions for structural work, floats or complex for the trigonometric
 bases.  Builders grow their sums in place with ``accumulate``.
 
-Each ring orbit is an orbit of the dihedral group, so the one orbit map
-``symmetry.PackedOrbits`` of ``PermGroup.dihedral(n)`` names and lists it:
-``compressed`` keys a sum by packed canonical representatives, the
-coordinates of the orbit-compressed ring closure, and ``expand`` lists
-each orbit's members from the same map.
+Each ring orbit is an orbit of the ring's dihedral group, so the orbit
+map the closure itself uses, ``graph_group(Graph.cycle(n)).orbits``,
+names and lists it: ``compressed`` keys a sum by packed canonical
+representatives, the coordinates of the orbit-compressed ring closure,
+and ``expand`` lists each orbit's members from the same map.
 """
 
 from __future__ import annotations
@@ -40,13 +40,15 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from functools import cache
+from functools import lru_cache
 
+from .graphs import Graph
 from .paulis import PauliVector, SparseVector, ValueTuple, dict_to_pauli_vector
-from .symmetry import PackedOrbits, PermGroup
+from .symmetry import graph_group
 
 _KINDS = ("X", "XN1", "ZXZ", "YXY", "YXZ")
 _KIND_INDEX = {k: i for i, k in enumerate(_KINDS)}
+_ring = lru_cache(maxsize=1)(Graph.cycle)  # graph_group then matches the ring by identity
 
 
 def _fold(n: int, kind: str, offset: int):
@@ -107,12 +109,12 @@ class CycleOrbitSum(SparseVector):
     def compressed(self) -> dict:
         """The sum in the ring closure's own coordinates: the packed
         canonical representative of each orbit -> its coefficient."""
-        orbits = _ring_orbits(self.n)
+        orbits = graph_group(_ring(self.n)).orbits
         return {orbits.orbit(_orbit_member(self.n, key))[0]: c for key, c in self.terms()}
 
     def expand(self) -> PauliVector:
         """Expansion into raw Pauli strings, one unit per orbit member."""
-        orbits = _ring_orbits(self.n)
+        orbits = graph_group(_ring(self.n)).orbits
         members = {k: c for rep, c in self.compressed().items() for k in orbits.orbit(rep)[2]}
         return dict_to_pauli_vector(self.n, members)
 
@@ -128,12 +130,6 @@ def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
         return CycleOrbitSum.zero(n)
     sign, key = folded
     return CycleOrbitSum(n, {key: sign * coeff})
-
-
-@cache
-def _ring_orbits(n: int) -> PackedOrbits:
-    """The orbit map of ring size n: a ring orbit is a dihedral orbit."""
-    return PackedOrbits(PermGroup.dihedral(n))
 
 
 def _orbit_member(n: int, key: tuple[int, int]) -> int:
@@ -156,23 +152,20 @@ def _orbit_member(n: int, key: tuple[int, int]) -> int:
 
 
 def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
-    """Structure constants of one orbit pair, as (coeff, kind, offset)."""
-    if kind1 == "YXY" and kind2 == "YXY":
-        return [(-2, "YXZ", s - t - 1)]
-    if kind1 == "YXY" and kind2 == "ZXZ":
-        return [(-2, "YXZ", s + t + 1)]
-    if kind1 == "ZXZ" and kind2 == "YXY":
-        return [(2, "YXZ", s + t + 1)]
+    """Structure constants of one orbit pair, as (coeff, kind, offset), stated
+    with the left kind first in ``_KINDS``: [B, A] = -[A, B] gives the rest."""
+    if _KIND_INDEX[kind1] > _KIND_INDEX[kind2]:
+        return [(-c, kind, offset) for c, kind, offset in _pair_bracket(n, kind2, t, kind1, s)]
     if kind1 == "ZXZ" and kind2 == "ZXZ":
         return [(2, "YXZ", s - t - 1)]
-    if kind1 == "YXY" and kind2 == "YXZ":
-        return [(4, "ZXZ", t - s - 1), (-4, "YXY", t + s + 1)]
+    if kind1 == "ZXZ" and kind2 == "YXY":
+        return [(2, "YXZ", s + t + 1)]
     if kind1 == "ZXZ" and kind2 == "YXZ":
         return [(4, "ZXZ", t + s + 1), (-4, "YXY", t - s - 1)]
-    if kind1 == "YXZ" and kind2 == "YXY":
-        return [(4, "YXY", t + s + 1), (-4, "ZXZ", s - t - 1)]
-    if kind1 == "YXZ" and kind2 == "ZXZ":
-        return [(4, "YXY", s - t - 1), (-4, "ZXZ", t + s + 1)]
+    if kind1 == "YXY" and kind2 == "YXY":
+        return [(-2, "YXZ", s - t - 1)]
+    if kind1 == "YXY" and kind2 == "YXZ":
+        return [(4, "ZXZ", t - s - 1), (-4, "YXY", t + s + 1)]
     return []  # [YXZ, YXZ] vanishes
 
 
@@ -182,13 +175,13 @@ def _position(key: tuple[int, int]) -> int:
     return 3 * t + i
 
 
-@cache
+@lru_cache(maxsize=1)
 def _stored_keys(n: int) -> list:
     """The 3n - 1 canonical keys, by ``_position``."""
     return [(0, 0), (1, 0)] + [(i, t) for t in range(n - 1) for i in (2, 3, 4)]
 
 
-@cache
+@lru_cache(maxsize=1)
 def _folded_table(n: int) -> list:
     """The folded structure constants of ring size n, built whole.
 

@@ -6,17 +6,17 @@ A permutation here acts on qubit *positions*: ``images[j]`` is where qubit
 ``images[j]``.  Acting on a Pauli string permutes both masks identically,
 hence preserves the letter counts (the type) of the string.
 
-``PackedOrbits`` is the one orbit map: built from any ``PermGroup``, it
-canonicalises packed ``(x_mask << n) | z_mask`` keys from one column per
-key bit, the bit's images under every group element.  The
-orbit-compressed closure and the ring orbits of ``cycle_forms`` go
-through it.  ``graph_group`` alone picks the group of a graph.
+``PackedOrbits`` is the one orbit map, built once per group, on first use,
+as ``PermGroup.orbits``: it canonicalises packed ``(x_mask << n) | z_mask``
+keys from one column per key bit, the bit's images under every element.
+The orbit-compressed closure and the ring orbits of ``cycle_forms`` read
+it from ``graph_group``, which alone picks a graph's group, keeping one.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .paulis import ValueTuple
 
@@ -150,6 +150,11 @@ class PermGroup:
     def __iter__(self):
         return iter(self.elements())
 
+    @cached_property
+    def orbits(self) -> "PackedOrbits":
+        """The group's orbit map, built on first use and kept with it."""
+        return PackedOrbits(self)
+
 
 class PackedOrbits:
     """Orbits of packed Pauli keys ``(x_mask << n) | z_mask`` under a group.
@@ -253,8 +258,8 @@ def graph_group(graph) -> PermGroup:
     automorphisms found under ``AUT_VERTEX_CAP``.  S_n is never enumerated.
 
     The last group built is kept and handed out again for the same graph,
-    so the closure and the bounds of one graph enumerate it once, and no
-    more than one enumerated group outlives its caller."""
+    so the closure, the bounds and the ring vocabulary of one graph share
+    one enumeration and one orbit map, and no more than one outlives them."""
     return _graph_group(graph, graph.family)
 
 

@@ -5,8 +5,11 @@ import ast
 import inspect
 import json
 import math
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -65,8 +68,11 @@ def test_compute_graph_from_file(capsys, tmp_path):
         ("3\n0 1\n1 x\n", "bad edge line '1 x'"),
         ("3\n0 1\n0 5\n", "edge (0, 5) out of range for n=3"),
         ("3\n0 1\n1 1\n", "self-loop at vertex 1"),
+        ("", "empty graph file"),
+        ("three\n0 1\n", "first line must be the vertex count"),
+        ("3\n0 1 2\n", "bad edge line '0 1 2'"),
     ],
-    ids=["non-integer", "out-of-range", "self-loop"],
+    ids=["non-integer", "out-of-range", "self-loop", "empty", "no-vertex-count", "three-fields"],
 )
 def test_graph_file_errors_name_the_file(capsys, tmp_path, body, message):
     spec = tmp_path / "bad.graph"
@@ -417,6 +423,77 @@ def test_a_sweep_row_enumerates_its_group_once(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert enumerated == [3, 4, 5, 6]
 
+
+_COUNT_RING_BUILDS = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from dla_lab import cli, symmetry
+
+enumerated, built = [], []
+elements, init = symmetry.PermGroup.elements, symmetry.PackedOrbits.__init__
+
+
+def counted_elements(group):
+    if group._elements is None:
+        enumerated.append(group.n)
+    return elements(group)
+
+
+def counted_init(orbits, group):
+    built.append(group.n)
+    init(orbits, group)
+
+
+symmetry.PermGroup.elements = counted_elements
+symmetry.PackedOrbits.__init__ = counted_init
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify-cycle", "--n", "8"])
+print(code, enumerated, built)
+"""
+
+
+def test_verify_cycle_builds_one_dihedral_group_and_one_orbit_map():
+    """The closure and the ring vocabulary read one group and its one orbit
+    map.  A fresh interpreter, so no group that another test left in
+    ``graph_group`` hides a second build."""
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_RING_BUILDS.format(src=src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.stdout, proc.stderr) == ("0 [8] [8]\n", "")
+
+
+@pytest.mark.parametrize(
+    "n, tol, relations, residual",
+    [("6", "1e-16", "fail", 1.42108547152e-14), ("12", "1e-15", "ok", 2.72848410532e-12)],
+)
+def test_a_failed_spectral_check_still_reports_its_residual(capsys, n, tol, relations, residual):
+    """Below round-off the spectral recompute fails; verify-cycle reruns it
+    without a bound only to record the residual, and goes on to exit 1."""
+    code, out, err = run(capsys, "verify-cycle", "--n", n, "--tolerance", tol)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: (c["status"], c["residual"]) for c in json.loads(out)["checks"]}
+    assert checks["spectral-closed-forms"] == ("fail", residual)
+    assert checks["canonical-bracket-relations"][0] == relations
+    assert checks["su2-bracket-relations"][0] == relations
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("variance --family cycle --n 2", "n >= 3 required for the cycle family"),
+        ("verify-complete --n 1", "n >= 2 required for the complete family"),
+        ("sweep --family cycle --min 2 --max 4",
+         "sweep needs --min and --max with 3 <= min <= max"),
+        ("sweep --family path --min 3 --max 4", "sweep supports --family cycle or complete"),
+        ("compute --graph cycle:x", "graph spec 'cycle:x': 'x' is not an integer"),
+    ],
+)
+def test_input_errors_exit_two_with_their_message(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 def test_variance_below_round_off_is_a_verification_failure(capsys):

@@ -1,6 +1,9 @@
 """Ring-orbit vocabulary: folds, brackets, bases, and power identities."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +302,52 @@ def test_bracket_table_is_built_whole():
         for coeff, pos in entries:
             assert type(coeff) is int and coeff in (-4, -2, 2, 4)
             assert type(pos) is int and 0 <= pos < 3 * n - 1
+
+
+def test_bracket_table_is_antisymmetric_with_one_term_per_position():
+    """Each rule is stated for one order of its pair and mirrored with a
+    sign: cell (p, q) is cell (q, p) negated.  No cell names a position
+    twice, so a bracket's output positions each take one addend per pair
+    of terms, whatever order a cell lists them in."""
+    for n in range(3, 41):
+        table = _folded_table(n)
+        for p, row in enumerate(table):
+            for q, cell in enumerate(row):
+                assert len({pos for _, pos in cell}) == len(cell)
+                assert sorted(cell) == sorted((-c, pos) for c, pos in table[q][p])
+
+
+_RETAINED = """
+import gc, sys
+sys.path.insert(0, {src!r})
+from dla_lab.cycle_forms import _folded_table, cycle_basis, cycle_center, orbit_bracket
+from dla_lab.symmetry import PackedOrbits
+
+for n in range(3, 41):
+    basis = cycle_basis(n)
+    for b in basis:
+        b.expand()
+    for c in cycle_center(n):
+        for b in basis:
+            orbit_bracket(c, b)
+gc.collect()
+print(sum(isinstance(o, PackedOrbits) for o in gc.get_objects()),
+      _folded_table.cache_info().currsize)
+"""
+
+
+def test_no_ring_size_outlives_the_next():
+    """After rings 3..40 are expanded and bracketed, one orbit map and one
+    bracket table are left: those of the last ring.  A fresh interpreter,
+    so no other test's objects are counted."""
+    src = str(Path(__file__).parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETAINED.format(src=src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.stdout, proc.stderr) == ("1 1\n", "")
 
 
 def test_power_rows_start_with_plain_commutator():

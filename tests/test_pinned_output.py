@@ -157,6 +157,14 @@ n,dim,degree,center_dim,ideal_dim,aut_bound,yz_even_ok,runtime_ms
 11,32,20,2,30,192699,True,0
 12,35,22,2,33,704369,True,0
 """,
+    "sweep --family cycle --min 3 --max 5 --output text": """\
+schema: dla-lab/1
+command: sweep
+family: cycle
+  n=3  dim=8  degree=4  center_dim=2  ideal_dim=6  aut_bound=19  yz_even_ok=True  runtime_ms=0
+  n=4  dim=11  degree=6  center_dim=2  ideal_dim=9  aut_bound=54  yz_even_ok=True  runtime_ms=0
+  n=5  dim=14  degree=8  center_dim=2  ideal_dim=12  aut_bound=135  yz_even_ok=True  runtime_ms=0
+""",
     "bounds --graph complete:12": """\
 {
   "schema": "dla-lab/1",
@@ -451,7 +459,7 @@ ok: True
 
 
 def _normalised(out: str) -> str:
-    out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+    out = re.sub(r'(runtime_ms"?(: |=))\d+', r"\g<1>0", out)  # json and text
     return re.sub(r"(?m)^(\d+,.*,)\d+$", r"\g<1>0", out)  # csv: last column
 
 
