@@ -19,7 +19,8 @@ first, into the fully reduced form, which is canonical for the row space
 (two spans are equal iff their reduced rows are) and stays sparse even
 when the algebra is nearly the whole ambient space.
 
-The same engine runs in three coordinate systems:
+The same engine runs in three coordinate systems; ``maxcut_keys`` is the
+one source of a graph's two generators, which the last two fold:
 
 * raw Pauli coordinates (keys are packed ``(x_mask << n) | z_mask`` ints),
   bracketed by the package's one Pauli kernel, ``paulis.pauli_bracket``;
@@ -501,27 +502,33 @@ def generate_dla(
     return _closure_engine(n, "pauli", pairs, memory_budget)
 
 
+def maxcut_keys(graph) -> list[dict]:
+    """The two circuit generators as packed-key dicts with unit coefficients
+    (the skew-Hermitian i is implicit): X_j in vertex order, then Z_j Z_k
+    over the sorted edges."""
+    if not graph.edges:
+        raise ValueError("graph has no edges; the cut Hamiltonian vanishes")
+    n = graph.n
+    return [dict.fromkeys([1 << (n + j) for j in range(n)], 1),
+            dict.fromkeys([(1 << j) | (1 << k) for j, k in sorted(graph.edges)], 1)]
+
+
 def generate_dla_orbit_compressed(
     graph, memory_budget: int | None = DEFAULT_MEMORY_BUDGET
 ) -> DlaReport:
     """A graph's closure in orbit coordinates of ``symmetry.graph_group``, K_n's
-    in type coordinates (S_n cannot be enumerated).  The generators have one
-    coordinate per vertex orbit and per edge orbit, each with coefficient 1."""
-    if not graph.edges:
-        raise ValueError("graph has no edges; the cut Hamiltonian vanishes")
+    in type coordinates (S_n cannot be enumerated).  Each generator of
+    ``maxcut_keys`` folds to one coordinate per orbit of its keys, each with
+    coefficient 1: the packed representative, or K_n's ``letter_counts``."""
+    keys = maxcut_keys(graph)  # before graph_group: no edges beats its cap
     n = graph.n
     group = graph_group(graph)  # checks a family label against the edges
     if graph.family == "complete":
-        pairs = [
-            ({(1, 0, 0): 1}, partial(ad_field_type, n)),
-            ({(0, 0, 2): 1}, partial(ad_cut_type, n)),
-        ]
+        gens = [dict.fromkeys({letter_counts(n, k) for k in d}, 1) for d in keys]
+        pairs = zip(gens, (partial(ad_field_type, n), partial(ad_cut_type, n)))
         return _closure_engine(n, "complete-orbit", pairs, memory_budget)
     orbits = group.orbits
-    x_keys = [1 << (n + j) for j in range(n)]
-    zz_keys = [(1 << j) | (1 << k) for j, k in graph.edges]
-    gens = [dict.fromkeys(sorted({orbits.orbit(k)[0] for k in ks}), 1)
-            for ks in (x_keys, zz_keys)]
+    gens = [dict.fromkeys(sorted({orbits.orbit(k)[0] for k in d}), 1) for d in keys]
     pairs = [(d, _group_orbit_bracket(n, orbits, d, memory_budget)) for d in gens]
     return _closure_engine(n, "group-orbit", pairs, memory_budget)
 

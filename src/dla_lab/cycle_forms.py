@@ -19,6 +19,7 @@ table behind ``orbit_bracket`` apply these reductions, so stored sums only
 ever hold canonical offsets.  The table is built whole, for the last ring
 size only (every per-size cache keeps one size), one row and column per
 stored key, each entry carrying its whole sign and its output position.
+``_stored_keys`` is the one orbit list: the table and ``cycle_basis`` read it.
 
 A ``CycleOrbitSum`` is the package's shared sparse vector
 (:class:`~dla_lab.paulis.SparseVector`) keyed by ``(kind index, offset)``
@@ -151,11 +152,11 @@ def _orbit_member(n: int, key: tuple[int, int]) -> int:
 # bracket table
 
 
-def _pair_bracket(n: int, kind1: str, s: int, kind2: str, t: int) -> list:
+def _pair_bracket(kind1: str, s: int, kind2: str, t: int) -> list:
     """Structure constants of one orbit pair, as (coeff, kind, offset), stated
     with the left kind first in ``_KINDS``: [B, A] = -[A, B] gives the rest."""
     if _KIND_INDEX[kind1] > _KIND_INDEX[kind2]:
-        return [(-c, kind, offset) for c, kind, offset in _pair_bracket(n, kind2, t, kind1, s)]
+        return [(-c, kind, offset) for c, kind, offset in _pair_bracket(kind2, t, kind1, s)]
     if kind1 == "ZXZ" and kind2 == "ZXZ":
         return [(2, "YXZ", s - t - 1)]
     if kind1 == "ZXZ" and kind2 == "YXY":
@@ -193,14 +194,13 @@ def _folded_table(n: int) -> list:
     fold's and, since X enters as YXY(-1) = -X, one -1 per X factor;
     XN1 enters as YXY(n-1).
     """
-    ends = [(-1, "YXY", -1), (1, "YXY", n - 1)] + [
-        (1, kind, t) for t in range(n - 1) for kind in _KINDS[2:]
-    ]
+    ends = [((-1, "YXY", -1), (1, "YXY", n - 1))[i] if i < 2 else (1, _KINDS[i], t)
+            for i, t in _stored_keys(n)]
     return [
         [
             tuple(
                 (s1 * s2 * folded[0] * coeff, _position(folded[1]))
-                for coeff, kind, offset in _pair_bracket(n, kind1, t1, kind2, t2)
+                for coeff, kind, offset in _pair_bracket(kind1, t1, kind2, t2)
                 if (folded := _fold(n, kind, offset)) is not None
             )
             for s2, kind2, t2 in ends
@@ -249,14 +249,9 @@ def cut_orbit(n: int) -> CycleOrbitSum:
 def cycle_basis(n: int) -> list[CycleOrbitSum]:
     """The 3n-1 orbit sums spanning the ring closure.
 
-    X and XN1, then ZXZ(t), YXY(t), YXZ(t) for t = 0..n-2.
+    X and XN1, then ZXZ(t), YXY(t), YXZ(t) for t = 0..n-2: ``_stored_keys``.
     """
-    out = [orbit_term(n, "X"), orbit_term(n, "XN1")]
-    for t in range(n - 1):
-        out.append(orbit_term(n, "ZXZ", t))
-        out.append(orbit_term(n, "YXY", t))
-        out.append(orbit_term(n, "YXZ", t))
-    return out
+    return [CycleOrbitSum(n, {key: 1}) for key in _stored_keys(n)]
 
 
 def cycle_center(n: int) -> tuple[CycleOrbitSum, CycleOrbitSum]:

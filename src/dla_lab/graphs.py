@@ -1,4 +1,5 @@
-"""Graphs, their cut Hamiltonians, and cheap dimension bounds."""
+"""Graphs, their generators (``closure.maxcut_keys`` published as
+PauliVectors), and cheap dimension bounds."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ from collections import namedtuple
 from math import comb
 from pathlib import Path
 
-from .paulis import PauliString, PauliVector, ValueTuple, anticommute
+from .closure import maxcut_keys
+from .paulis import PauliString, PauliVector, ValueTuple, anticommute, dict_to_pauli_vector
 from .symmetry import GroupTooLarge, graph_group, orbit_count
 
 # The brute-force centralizer search is refused beyond this many vertices.
@@ -109,24 +111,8 @@ def parse_graph_spec(spec: str) -> Graph:
 
 
 def maxcut_generators(graph: Graph) -> list[PauliVector]:
-    """The two circuit generators: sum of X_j, and sum of Z_j Z_k over edges.
-
-    Returned with unit coefficients (the skew-Hermitian i is implicit).
-    """
-    if not graph.edges:
-        raise ValueError("graph has no edges; the cut Hamiltonian vanishes")
-    n = graph.n
-    field_term = PauliVector(
-        n, {PauliString.single(n, j, "X"): 1 for j in range(n)}
-    )
-    cut_term = PauliVector(
-        n,
-        {
-            PauliString(n, 0, (1 << j) | (1 << k)): 1
-            for j, k in sorted(graph.edges)
-        },
-    )
-    return [field_term, cut_term]
+    """The two circuit generators of ``closure.maxcut_keys``, as PauliVectors."""
+    return [dict_to_pauli_vector(graph.n, d) for d in maxcut_keys(graph)]
 
 
 def dimension_bounds(graph: Graph) -> dict:

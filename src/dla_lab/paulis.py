@@ -32,7 +32,7 @@ bracket kernel, on dicts keyed by packed ``(x_mask << n) | z_mask`` ints;
 one popcount and computes the phase inline (the symplectic rule of Aaronson
 & Gottesman, 2004); :func:`phase_exponent` is its test oracle.  Given keys
 ``at``, it pairs each key with u's terms and returns only the bracket's
-terms on those keys.
+terms on those keys.  Both loops take each u-term's setup from ``_terms``.
 """
 
 from __future__ import annotations
@@ -320,15 +320,8 @@ def pauli_bracket(n: int, u: dict, v: dict, at=None) -> dict:
     """
     if at is not None:
         return _bracket_at(n, u, v, at)
-    mask = (1 << n) - 1
     acc: dict[int, object] = {}
-    for ku, cu in u.items():
-        x1 = ku >> n
-        z1 = ku & mask
-        su = (z1 << n) | x1
-        w1 = (x1 & z1).bit_count()
-        plus = 2 * cu
-        minus = -2 * cu
+    for ku, su, z1, w1, plus, minus in _terms(n, u):
         for kv, cv in v.items():
             if not (su & kv).bit_count() & 1:
                 continue
@@ -344,14 +337,18 @@ def pauli_bracket(n: int, u: dict, v: dict, at=None) -> dict:
     return acc
 
 
+def _terms(n: int, u: dict) -> list:
+    """Each u-term's (key, swapped key ``(z << n) | x``, z mask, #Y, +2c,
+    -2c): the setup both bracket loops share.  #Y counts ``x & key``, as
+    x has no bit at n or above."""
+    mask = (1 << n) - 1
+    return [(ku, (ku & mask) << n | ku >> n, ku & mask, (ku >> n & ku).bit_count(),
+             2 * cu, -2 * cu) for ku, cu in u.items()]
+
+
 def _bracket_at(n: int, u: dict, v: dict, at) -> dict:
     """The terms of ``pauli_bracket(n, u, v)`` on the keys of ``at``."""
-    mask = (1 << n) - 1
-    terms = []
-    for ku, cu in u.items():
-        x1 = ku >> n
-        z1 = ku & mask
-        terms.append((ku, (z1 << n) | x1, z1, (x1 & z1).bit_count(), 2 * cu, -2 * cu))
+    terms = _terms(n, u)
     out: dict[int, object] = {}
     for k3 in at:
         w3 = ((k3 >> n) & k3).bit_count()

@@ -144,10 +144,14 @@ def test_criterion_03_complete_graph_dimension_formulas():
 
 
 def test_criterion_04_triangle_is_one_algebra_in_two_coordinates():
-    """K_3 and C_3 are the same graph; the two orbit-compressed closures
-    expand to identical row spaces (exact canonical form equality)."""
+    """K_3 and C_3 are the same graph; the label, not the edges, picks the
+    coordinates the generators fold to, and the two orbit-compressed
+    closures expand to identical row spaces (exact canonical form equality)."""
+    assert Graph.cycle(3) == Graph.complete(3)
     complete = generate_dla_orbit_compressed(Graph.complete(3))
     cyclic = generate_dla_orbit_compressed(Graph.cycle(3))
+    assert (cyclic.coords, complete.coords) == ("group-orbit", "complete-orbit")
+    assert (cyclic.dimension, cyclic.degree) == (complete.dimension, complete.degree) == (8, 4)
     dihedral = PackedOrbits(PermGroup.dihedral(3))
     lk = span_ledger(
         pauli_vector_to_dict(SymOrbitSum(3, d).expand())

@@ -94,6 +94,20 @@ def test_orbit_compression_over_the_cap_is_a_usage_error(capsys, tmp_path):
     assert "capped at n=10" in err
 
 
+def test_the_triangle_payload_does_not_depend_on_its_label(capsys):
+    """cycle:3 and complete:3 are one graph in two coordinate systems."""
+    payloads = []
+    for spec in ("cycle:3", "complete:3"):
+        code, out, err = run(capsys, "compute", "--graph", spec, "--orbit-compress")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload.pop("graph") == spec
+        del payload["runtime_ms"]
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["dim"] == 8
+
+
 def test_orbit_compressed_path_payload_matches_raw(capsys):
     payloads = []
     for extra in ((), ("--orbit-compress",)):
@@ -211,6 +225,18 @@ def test_verify_complete_reports_the_two_vertex_boundary_case(capsys):
     assert failures == ["dimension-below-parity-bound"]
 
 
+def test_a_wrong_power_expansion_fails_its_check(capsys, monkeypatch):
+    real = cycle_forms.ab_power_expansion_coeffs
+    monkeypatch.setattr(
+        cycle_forms, "ab_power_expansion_coeffs", lambda n: [real(n)[0] + 1, *real(n)[1:]]
+    )
+    assert cycle_forms.ab_recursion_identity_ok(5) is False
+    code, out, err = run(capsys, "verify-cycle", "--n", "5")
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if c["status"] == "fail"] == ["power-recursion-identity"]
+
+
 def test_variance_cycle_four(capsys):
     code, out, _ = run(capsys, "variance", "--family", "cycle", "--n", "4")
     assert code == 0
@@ -270,6 +296,16 @@ def test_bounds_complete_graph(capsys):
     assert payload["binom_bound"] == 84
     assert payload["yz_bound"] == 42
     assert payload["dim_formula"] == 38
+
+
+def test_bounds_over_the_automorphism_cap(capsys, tmp_path):
+    """An 11-vertex path is over the search's vertex cap: no aut_bound."""
+    spec = tmp_path / "path11.graph"
+    spec.write_text("11\n" + "".join(f"{j} {j + 1}\n" for j in range(10)))
+    code, out, err = run(capsys, "bounds", "--graph", f"file:{spec}")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["aut_bound"] is None and payload["center_bound"] == 2
 
 
 def test_sweep_csv_shape(capsys):

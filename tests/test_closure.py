@@ -26,6 +26,7 @@ from dla_lab.closure import (
     generate_dla_orbit_compressed,
     ideal_dimension,
     in_ideal,
+    maxcut_keys,
     nullspace_combos,
     span_ledger,
 )
@@ -388,6 +389,16 @@ def test_orbit_compressed_rejects_edgeless_and_over_cap_graphs():
         generate_dla_orbit_compressed(Graph(4, ()))
     with pytest.raises(GroupTooLarge):
         generate_dla_orbit_compressed(Graph(11, {(j, j + 1) for j in range(10)}))
+    # no edges is reported first, even where the automorphism search is capped
+    with pytest.raises(ValueError, match="no edges") as exc:
+        generate_dla_orbit_compressed(Graph(11, ()))
+    assert not isinstance(exc.value, GroupTooLarge)
+
+
+def test_maxcut_keys_lists_the_field_then_the_sorted_edges():
+    keys = maxcut_keys(Graph.cycle(4))
+    assert keys == [{16: 1, 32: 1, 64: 1, 128: 1}, {3: 1, 9: 1, 6: 1, 12: 1}]
+    assert [list(d) for d in keys] == [[16, 32, 64, 128], [3, 9, 6, 12]]
 
 
 # ---------------------------------------------------------------------------

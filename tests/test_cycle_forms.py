@@ -241,7 +241,7 @@ def _pair_terms(a, b):
     n = a.n
     for kind1, s, c1 in _endpoint_terms(a):
         for kind2, t, c2 in _endpoint_terms(b):
-            for coeff, kind, offset in _pair_bracket(n, kind1, s, kind2, t):
+            for coeff, kind, offset in _pair_bracket(kind1, s, kind2, t):
                 yield orbit_term(n, kind, offset, coeff * c1 * c2)
 
 

@@ -4,6 +4,8 @@ Centralizer and Burnside literals were frozen from the dense-matrix
 oracle in tests/oracles/dense_oracle.py.
 """
 
+import itertools
+
 import pytest
 
 from dla_lab.graphs import (
@@ -14,8 +16,8 @@ from dla_lab.graphs import (
     maxcut_generators,
     parse_graph_spec,
 )
-from dla_lab.closure import generate_dla, generate_dla_orbit_compressed
-from dla_lab.paulis import PauliString, pauli_type
+from dla_lab.closure import generate_dla, generate_dla_orbit_compressed, maxcut_keys
+from dla_lab.paulis import PauliString, pauli_type, pauli_vector_to_dict
 
 
 def test_graph_normalizes_edges():
@@ -64,6 +66,18 @@ def test_maxcut_generators():
     assert sorted(p.label() for p in cut.support()) == ["IZZ", "ZIZ", "ZZI"]
     with pytest.raises(ValueError):
         maxcut_generators(Graph(2, ()))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [Graph.cycle(5), Graph.path(4), Graph.complete(5),
+     Graph(7, frozenset((0, j) for j in range(1, 7)))],
+    ids=["cycle5", "path4", "complete5", "star7"],
+)
+def test_maxcut_generators_publish_maxcut_keys(graph):
+    """The same terms, in the same order, as the closure's one source."""
+    published = [list(pauli_vector_to_dict(v).items()) for v in maxcut_generators(graph)]
+    assert published == [list(d.items()) for d in maxcut_keys(graph)]
 
 
 def test_dimension_bounds_cycle():
@@ -133,10 +147,13 @@ def test_centralizer_cycle_four():
 
 
 def test_centralizer_disconnected_graph():
-    """Two disjoint edges admit per-component all-X strings."""
+    """Two disjoint edges admit per-component all-X strings; with no edges
+    (no cut Hamiltonian, but a centralizer) every string of I and X does."""
     g = Graph(4, ((0, 1), (2, 3)))
     labels = sorted(p.label() for p in centralizer_paulis(g))
     assert labels == ["IIII", "IIXX", "XXII", "XXXX"]
+    labels = sorted(p.label() for p in centralizer_paulis(Graph(3, frozenset())))
+    assert labels == sorted(map("".join, itertools.product("IX", repeat=3)))
 
 
 def test_centralizer_elements_commute_by_construction():

@@ -221,3 +221,9 @@ def test_dla_report_is_mutable_unhashable_and_publishes_once():
     assert report != other
     report.degree = 99
     assert report != again
+
+
+def test_a_report_never_equals_another_type():
+    report = generate_dla(maxcut_generators(Graph.cycle(3)))
+    assert report.__eq__("x") is NotImplemented
+    assert (report == "x") is False and report != "x"
