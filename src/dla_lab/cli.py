@@ -27,7 +27,7 @@ Each ``cmd_*`` handler returns only its payload body.  ``main`` alone
 adds the ``schema``/``command`` header, emits the payload in the chosen
 format and sets the exit code: 0 success, 1 verification failure (a
 payload whose ``ok`` is false, or a broken exact invariant), 2 usage or
-parse error, 3 resource budget exceeded.
+parse error, 3 resource budget exceeded, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, silent: the reader closed stdout
 
 #: largest n at which verify-cycle expands orbits to raw Pauli strings
 #: for the bracket-table cross-check (cost ~ (3n)^2 * 2n)
@@ -128,6 +130,7 @@ def _emit(payload: dict, output: str) -> None:
         print(_render_text(payload))
     else:  # csv, which only sweep offers
         print(_render_csv(payload["rows"]))
+    sys.stdout.flush()  # a closed stdout fails here, inside main
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +222,9 @@ def cmd_verify_cycle(args: argparse.Namespace) -> dict:
         su2_relation_residuals,
     )
     from .paulis import commutator
-    from .spectral import RECOMPUTE_VERTEX_CAP, cycle_spectral_report
+    from .spectral import cycle_spectral_report
 
     n = args.n
-    if n < 3:
-        raise UsageError("n >= 3 required for the cycle family")
     tol = args.tolerance
 
     report = generate_dla_orbit_compressed(Graph.cycle(n), args.memory_budget)
@@ -276,16 +277,14 @@ def cmd_verify_cycle(args: argparse.Namespace) -> dict:
     )
     checks.append(_check("power-trig-closed-form", trig_res < tol, trig_res))
 
-    if n <= RECOMPUTE_VERTEX_CAP:
-        # pass or fail is variance's own call; a failed report is run
-        # again without a bound only to show its residual
-        try:
-            spectral, ok = cycle_spectral_report(n, tol), True
-        except ArithmeticError:
-            spectral, ok = cycle_spectral_report(n, math.inf), False
-        checks.append(_check("spectral-closed-forms", ok, spectral.cross_residual))
-    else:
-        checks.append(_check("spectral-closed-forms", None))
+    # pass/fail is variance's call, and whether to recompute is spectral's;
+    # a failed report is run again without a bound only to show its residual
+    try:
+        spectral, ok = cycle_spectral_report(n, tol), True
+    except ArithmeticError:
+        spectral, ok = cycle_spectral_report(n, math.inf), False
+    residual = spectral.cross_residual
+    checks.append(_check("spectral-closed-forms", None if residual is None else ok, residual))
 
     return _verify_fields(n, tol, checks)
 
@@ -294,9 +293,6 @@ def cmd_verify_complete(args: argparse.Namespace) -> dict:
     from .complete_forms import DECOMPOSITION_CONJECTURE, fact_suite, kn_basis, kn_ideal_basis
 
     n = args.n
-    if n < 2:
-        raise UsageError("n >= 2 required for the complete family")
-
     report = generate_dla_orbit_compressed(Graph.complete(n), args.memory_budget)
     forms = kn_formulas(n)
     checks = [
@@ -348,8 +344,6 @@ def cmd_variance(args: argparse.Namespace) -> dict:
             f"proven decomposition into components (got {args.family!r})"
         )
     n = args.n
-    if n < 3:
-        raise UsageError("n >= 3 required for the cycle family")
     report = cycle_spectral_report(n, args.tolerance)
     return {
         "family": args.family,
@@ -382,14 +376,10 @@ def cmd_bounds(args: argparse.Namespace) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> dict:
     if args.family not in ("cycle", "complete"):
         raise UsageError("sweep supports --family cycle or complete")
-    floor = 3 if args.family == "cycle" else 2
-    lo, hi = args.min, args.max
-    if lo < floor or hi < lo:
-        raise UsageError(
-            f"sweep needs --min and --max with {floor} <= min <= max"
-        )
+    if args.max < args.min:
+        raise UsageError("sweep needs --min <= --max")
     rows = []
-    for n in range(lo, hi + 1):
+    for n in range(args.min, args.max + 1):
         graph = parse_graph_spec(f"{args.family}:{n}")
         rows.append(_compute_row(graph, True, args.memory_budget))
     return {"family": args.family, "rows": rows}
@@ -531,6 +521,9 @@ def main(argv: list[str] | None = None) -> int:
         body = _DISPATCH[args.command](args)
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **body}
         _emit(payload, args.output)
+    except BrokenPipeError:  # an OSError; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -36,9 +36,10 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from .closure import maxcut_keys
 from .cycle_forms import cycle_basis, cycle_center, su2_basis
 from .graphs import Graph
-from .paulis import PauliString, PauliVector, SparseVector, ValueTuple, hs_inner
+from .paulis import PauliString, PauliVector, SparseVector, ValueTuple, hs_inner, unpack_pauli
 
 #: largest n for which ``plus_state`` will build its 2^n-term support
 PLUS_STATE_VERTEX_CAP = 20
@@ -85,16 +86,14 @@ def plus_state(n: int) -> HermitianVector:
 def cut_observable(graph: Graph) -> HermitianVector:
     """Normalized MaxCut measurement ``(1/sqrt|E|) sum_edges Z_j Z_k``.
 
-    The normalization gives squared Frobenius norm exactly ``2^n`` (up to
-    float rounding): ``|E|`` orthogonal strings of weight ``1/sqrt|E|``.
+    Its strings are the cut generator's, ``closure.maxcut_keys(graph)[1]``,
+    which raises ValueError for a graph without edges.  The normalization
+    gives squared Frobenius norm exactly ``2^n`` (up to float rounding):
+    ``|E|`` orthogonal strings of weight ``1/sqrt|E|``.
     """
-    if not graph.edges:
-        raise ValueError("graph has no edges; cut observable undefined")
-    c = 1.0 / math.sqrt(len(graph.edges))
-    entries = {}
-    for j, k in graph.edges:
-        entries[PauliString(graph.n, 0, (1 << j) | (1 << k))] = c
-    return HermitianVector(graph.n, entries)
+    cut = maxcut_keys(graph)[1]
+    c = 1.0 / math.sqrt(len(cut))
+    return HermitianVector(graph.n, {unpack_pauli(graph.n, k): c for k in cut})
 
 
 def _pairwise_orthogonal(basis: list[PauliVector], tolerance: float) -> bool:

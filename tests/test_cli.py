@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dla_lab import cli, closure, complete_forms, cycle_forms, symmetry
+from dla_lab import cli, closure, complete_forms, cycle_forms, spectral, symmetry
 from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.graphs import Graph, kn_formulas
@@ -520,16 +521,58 @@ def test_a_failed_spectral_check_still_reports_its_residual(capsys, n, tol, rela
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("variance --family cycle --n 2", "n >= 3 required for the cycle family"),
-        ("verify-complete --n 1", "n >= 2 required for the complete family"),
-        ("sweep --family cycle --min 2 --max 4",
-         "sweep needs --min and --max with 3 <= min <= max"),
+        # each family floor is stated once, by the call that builds the size
+        ("variance --family cycle --n 2", "cycle graphs need n >= 3"),
+        ("verify-complete --n 1", "complete graph needs n >= 2"),
+        ("sweep --family cycle --min 2 --max 4", "cycle needs n >= 3"),
+        ("verify-cycle --n 2", "cycle needs n >= 3"),
+        ("sweep --family complete --min 1 --max 3", "complete graph needs n >= 2"),
+        ("sweep --family cycle --min 5 --max 4", "sweep needs --min <= --max"),
         ("sweep --family path --min 3 --max 4", "sweep supports --family cycle or complete"),
         ("compute --graph cycle:x", "graph spec 'cycle:x': 'x' is not an integer"),
     ],
 )
 def test_input_errors_exit_two_with_their_message(capsys, argv, message):
     assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_verify_cycle_leaves_the_recompute_cap_to_spectral(capsys, monkeypatch):
+    """Past spectral's cap the report is the closed forms alone, so the
+    check is skipped with no residual and no recompute is attempted."""
+    def refuse(n, tolerance):
+        raise AssertionError(f"recomputed at n={n}")
+
+    monkeypatch.setattr(spectral, "_recomputed_forms", refuse)
+    code, out, err = run(capsys, "verify-cycle", "--n", "13")
+    assert (code, err) == (0, "")
+    checks = {c["name"]: (c["status"], c["residual"]) for c in json.loads(out)["checks"]}
+    assert checks["spectral-closed-forms"] == ("skip", None)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    ["compute --graph cycle:6", "sweep --family cycle --min 3 --max 40"],
+    ids=["compute", "sweep"],
+)
+def test_a_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    """A reader that has gone (``| head -1``) is no usage error: the write
+    fails inside ``main``, which exits 128 + SIGPIPE with nothing on stderr.
+    The pipe's read end is closed before the child starts."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dla_lab.cli", *argv.split()],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_variance_below_round_off_is_a_verification_failure(capsys):

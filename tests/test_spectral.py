@@ -23,6 +23,8 @@ from dla_lab import (
     variance_from_components,
 )
 from dla_lab import spectral
+from dla_lab.closure import maxcut_keys
+from dla_lab.paulis import unpack_pauli
 
 
 def test_plus_state_structure():
@@ -48,8 +50,24 @@ def test_cut_observable_unit_frobenius_scale():
     obs = cut_observable(g)
     assert len(obs) == 6
     assert abs(hs_inner(obs, obs) - 2**6) < 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no edges; the cut Hamiltonian vanishes"):
         cut_observable(Graph(3, []))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [*map(Graph.cycle, range(3, 9)), Graph.path(5),
+     Graph(7, frozenset((0, j) for j in range(1, 7)))],
+    ids=[*(f"cycle{n}" for n in range(3, 9)), "path5", "star7"],
+)
+def test_cut_observable_reads_the_cut_generator(graph):
+    """The measurement's strings are ``maxcut_keys``'s cut terms, each with
+    weight 1/sqrt|E|."""
+    cut = maxcut_keys(graph)[1]
+    c = 1.0 / math.sqrt(len(cut))
+    assert dict(cut_observable(graph).terms()) == {
+        unpack_pauli(graph.n, k): c for k in cut
+    }
 
 
 def test_hermitian_vector_basics():
