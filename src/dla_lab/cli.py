@@ -23,11 +23,12 @@ pre-rounded to 12 significant digits and exact rationals rendered as
 ``"p/q"`` strings so that reports are byte-stable: re-parsing a report
 and re-emitting it reproduces the exact bytes.
 
-Each ``cmd_*`` handler returns only its payload body.  ``main`` alone
-adds the ``schema``/``command`` header, emits the payload in the chosen
-format and sets the exit code: 0 success, 1 verification failure (a
-payload whose ``ok`` is false, or a broken exact invariant), 2 usage or
-parse error, 3 resource budget exceeded, 141 stdout closed by its reader.
+Each subparser carries its ``cmd_*`` handler, which returns only its
+payload body.  ``main`` alone adds the ``schema``/``command`` header,
+emits the payload in the chosen format and sets the exit code: 0 success,
+1 verification failure (a payload whose ``ok`` is false, or a broken
+exact invariant), 2 usage or parse error (a ``ValueError``), 3 resource
+budget exceeded, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, silent: the reader closed stdout
 #: largest n at which verify-cycle expands orbits to raw Pauli strings
 #: for the bracket-table cross-check (cost ~ (3n)^2 * 2n)
 EXPANSION_CHECK_CAP = 8
-
-
-class UsageError(ValueError):
-    """Bad command input detected after argument parsing."""
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +223,16 @@ def cmd_verify_cycle(args: argparse.Namespace) -> dict:
 
     n = args.n
     tol = args.tolerance
+    ring = Graph.cycle(n)
 
-    report = generate_dla_orbit_compressed(Graph.cycle(n), args.memory_budget)
+    # spectral's report, first: a size past its float range exits at once. A
+    # failed report is run again without a bound only to show its residual
+    try:
+        spectral, ok = cycle_spectral_report(n, tol), True
+    except ArithmeticError:
+        spectral, ok = cycle_spectral_report(n, math.inf), False
+
+    report = generate_dla_orbit_compressed(ring, args.memory_budget)
     checks = [
         _count_check("dimension-3n-minus-1", report.dimension, 3 * n - 1),
         _count_check("center-dimension-2", center_dimension(report), 2),
@@ -277,12 +282,6 @@ def cmd_verify_cycle(args: argparse.Namespace) -> dict:
     )
     checks.append(_check("power-trig-closed-form", trig_res < tol, trig_res))
 
-    # pass/fail is variance's call, and whether to recompute is spectral's;
-    # a failed report is run again without a bound only to show its residual
-    try:
-        spectral, ok = cycle_spectral_report(n, tol), True
-    except ArithmeticError:
-        spectral, ok = cycle_spectral_report(n, math.inf), False
     residual = spectral.cross_residual
     checks.append(_check("spectral-closed-forms", None if residual is None else ok, residual))
 
@@ -339,7 +338,7 @@ def cmd_variance(args: argparse.Namespace) -> dict:
     from .spectral import cycle_spectral_report
 
     if args.family != "cycle":
-        raise UsageError(
+        raise ValueError(
             f"variance needs --family cycle: only the cycle family has a "
             f"proven decomposition into components (got {args.family!r})"
         )
@@ -375,24 +374,14 @@ def cmd_bounds(args: argparse.Namespace) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> dict:
     if args.family not in ("cycle", "complete"):
-        raise UsageError("sweep supports --family cycle or complete")
+        raise ValueError("sweep supports --family cycle or complete")
     if args.max < args.min:
-        raise UsageError("sweep needs --min <= --max")
+        raise ValueError("sweep needs --min <= --max")
     rows = []
     for n in range(args.min, args.max + 1):
         graph = parse_graph_spec(f"{args.family}:{n}")
         rows.append(_compute_row(graph, True, args.memory_budget))
     return {"family": args.family, "rows": rows}
-
-
-_DISPATCH = {
-    "compute": cmd_compute,
-    "verify-cycle": cmd_verify_cycle,
-    "verify-complete": cmd_verify_complete,
-    "variance": cmd_variance,
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run in orbit coordinates of the graph's symmetry group",
     )
+    p.set_defaults(run=cmd_compute)
 
-    for name, blurb in (
-        ("verify-cycle", "verify every cycle-family closed form at size n"),
-        ("verify-complete", "verify every complete-family closed form at size n"),
-    ):
-        p = sub.add_parser(name, parents=[budget, tolerance, output], help=blurb)
+    for run, family in ((cmd_verify_cycle, "cycle"), (cmd_verify_complete, "complete")):
+        blurb = f"verify every {family}-family closed form at size n"
+        p = sub.add_parser(f"verify-{family}", parents=[budget, tolerance, output], help=blurb)
         p.add_argument("--n", type=int, required=True, help="number of vertices")
+        p.set_defaults(run=run)
 
     p = sub.add_parser(
         "variance",
@@ -490,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", required=True, help="graph family (cycle)")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
+    p.set_defaults(run=cmd_variance)
 
     p = sub.add_parser(
         "bounds",
@@ -501,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="cycle:N | complete:N | path:N | file:PATH",
     )
+    p.set_defaults(run=cmd_bounds)
 
     p = sub.add_parser(
         "sweep",
@@ -510,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="cycle or complete")
     p.add_argument("--min", type=int, required=True, help="smallest size")
     p.add_argument("--max", type=int, required=True, help="largest size")
+    p.set_defaults(run=cmd_sweep)
 
     return parser
 
@@ -518,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        body = _DISPATCH[args.command](args)
+        body = args.run(args)
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **body}
         _emit(payload, args.output)
     except BrokenPipeError:  # an OSError; devnull takes the flush at exit

@@ -115,7 +115,9 @@ def ad_cut(v: SymOrbitSum) -> SymOrbitSum:
 
 def _yz_parity_families(n: int) -> tuple[list, list]:
     """The in-range triples (p, q, r) with q and r both odd, and those with
-    q and r both even, each in (p, q, r) order."""
+    q and r both even, each in (p, q, r) order; K_n's floor n >= 2 is checked here."""
+    if n < 2:
+        raise ValueError("complete graph needs n >= 2")
     odd, even = [], []
     for p in range(n + 1):
         for q in range(n + 1 - p):
@@ -143,8 +145,6 @@ def kn_basis(n: int) -> list[SymOrbitSum]:
     with the parity of n.  The list length always equals the closed-form
     dimension.
     """
-    if n < 2:
-        raise ValueError("complete graph needs n >= 2")
     odd, even = _yz_parity_families(n)
     if n % 2 == 0:
         bare = odd + [t for t in even if t[0] % 2 == 1]
@@ -168,8 +168,6 @@ def kn_ideal_basis(n: int) -> list[SymOrbitSum]:
     family adjoins their images under ad_field together with the ad_cut
     images of the (p, 1, r) triples with r odd.
     """
-    if n < 2:
-        raise ValueError("complete graph needs n >= 2")
     odd, _ = _yz_parity_families(n)
     return _assemble(n, odd, odd, [t for t in odd if t[1] == 1])
 

@@ -359,31 +359,27 @@ def ab_power_expansion_coeffs(n: int) -> list[int]:
     return [-poly[k - 1] for k in range(1, n)]
 
 
-def ab_recursion_identity_ok(n: int) -> bool:
-    """Exact check: the n-th alternating power equals its expansion."""
-    rows = ab_power_coeffs(n, n)
+def _expansion_gaps(n: int, rows: list) -> list:
+    """Row n minus sum_k a_k * row k, entry by entry: the n-th alternating
+    power less its expansion, over rows 1..n of exact or trig coefficients."""
     coeffs = ab_power_expansion_coeffs(n)
-    width = n - 1
-    for j in range(width):
-        lhs = rows[n - 1][j]
-        rhs = sum(coeffs[k - 1] * rows[k - 1][j] for k in range(1, n))
-        if lhs != rhs:
-            return False
-    return True
+    return [
+        rows[n - 1][j] - sum(coeffs[k - 1] * rows[k - 1][j] for k in range(1, n))
+        for j in range(n - 1)
+    ]
+
+
+def ab_recursion_identity_ok(n: int) -> bool:
+    """Exact check: the n-th alternating power equals its expansion, no gap
+    left on the integer rows."""
+    return not any(_expansion_gaps(n, ab_power_coeffs(n, n)))
 
 
 def ab_recursion_identity_residual(n: int) -> float:
-    """Float residual of the same identity via the trig forms, relative
-    to the largest coefficient of the n-th power."""
-    target = ab_power_trig_coeffs(n, n)
-    coeffs = ab_power_expansion_coeffs(n)
-    parts = [ab_power_trig_coeffs(n, k) for k in range(1, n)]
-    scale = max(max(abs(c) for c in target), 1.0)
-    worst = 0.0
-    for j in range(n - 1):
-        rhs = sum(coeffs[k - 1] * parts[k - 1][j] for k in range(1, n))
-        worst = max(worst, abs(target[j] - rhs) / scale)
-    return worst
+    """Float residual of the same identity on the trig rows: the largest
+    gap relative to the largest coefficient of the n-th power (at least 1)."""
+    rows = [ab_power_trig_coeffs(n, k) for k in range(1, n + 1)]
+    return max(map(abs, _expansion_gaps(n, rows))) / max(max(map(abs, rows[-1])), 1.0)
 
 
 # ---------------------------------------------------------------------------

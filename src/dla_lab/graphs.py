@@ -77,13 +77,11 @@ class Graph(ValueTuple, namedtuple("Graph", "n edges family", defaults=(None,)))
             raise ValueError(f"{path}: first line must be the vertex count")
         edges = []
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: bad edge line {ln!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
+            try:  # a wrong field count fails the unpacking
+                j, k = map(int, ln.split())
             except ValueError:
                 raise ValueError(f"{path}: bad edge line {ln!r}")
+            edges.append((j, k))
         try:
             return cls(n, frozenset(edges))
         except ValueError as exc:

@@ -165,17 +165,11 @@ def _pairing(rho: HermitianVector, obs: HermitianVector, basis) -> object:
     for b in basis:
         num = hs_inner(b, rho)
         num2 = hs_inner(b, obs)
-        den = hs_inner(b, b)
         if num == 0 or num2 == 0:
             continue
-        if (
-            isinstance(num, float)
-            or isinstance(num2, float)
-            or isinstance(den, float)
-        ):
-            contributions.append(num * num2 / den)
-        else:
-            contributions.append(Fraction(num) * Fraction(num2) / Fraction(den))
+        den = hs_inner(b, b)
+        # exact over exact stays a Fraction; any float makes the term a float
+        contributions.append(num * num2 / (den if isinstance(den, float) else Fraction(den)))
     return _accumulate(contributions)
 
 

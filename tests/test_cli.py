@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from dla_lab import cli, closure, complete_forms, cycle_forms, spectral, symmetry
-from dla_lab.cli import _DISPATCH, _basis_parity_ok, build_parser, main, render_json
+from dla_lab.cli import _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.graphs import Graph, kn_formulas
 from dla_lab.paulis import PauliString, PauliVector
@@ -72,8 +72,12 @@ def test_compute_graph_from_file(capsys, tmp_path):
         ("", "empty graph file"),
         ("three\n0 1\n", "first line must be the vertex count"),
         ("3\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("3\n0\n", "bad edge line '0'"),
     ],
-    ids=["non-integer", "out-of-range", "self-loop", "empty", "no-vertex-count", "three-fields"],
+    ids=[
+        "non-integer", "out-of-range", "self-loop", "empty", "no-vertex-count",
+        "three-fields", "one-field",
+    ],
 )
 def test_graph_file_errors_name_the_file(capsys, tmp_path, body, message):
     spec = tmp_path / "bad.graph"
@@ -160,12 +164,6 @@ def test_verify_cycle_passes(capsys):
     names = {c["name"] for c in payload["checks"]}
     assert "dimension-3n-minus-1" in names
     assert all(c["status"] == "ok" for c in payload["checks"])
-
-
-def test_verify_cycle_rejects_tiny_ring(capsys):
-    code, _, err = run(capsys, "verify-cycle", "--n", "2")
-    assert code == 2
-    assert "n >= 3" in err
 
 
 def test_a_failing_ring_check_exits_one(capsys, monkeypatch):
@@ -536,6 +534,19 @@ def test_input_errors_exit_two_with_their_message(capsys, argv, message):
     assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
+def test_verify_cycle_checks_the_moments_range_before_its_closure(capsys, monkeypatch):
+    """Past the float range of the loss moments, verify-cycle exits 2 with
+    spectral's message before the ring's closure and relation checks run."""
+    monkeypatch.setattr(
+        cli, "generate_dla_orbit_compressed", lambda *a: pytest.fail("the closure ran")
+    )
+    message = (
+        "the cycle loss moments need n < 1024: the measurement's purity 2^n "
+        "overflows a float (got n = 1024)"
+    )
+    assert run(capsys, "verify-cycle", "--n", "1024") == (2, "", f"error: {message}\n")
+
+
 def test_verify_cycle_leaves_the_recompute_cap_to_spectral(capsys, monkeypatch):
     """Past spectral's cap the report is the closed forms alone, so the
     check is skipped with no residual and no recompute is attempted."""
@@ -638,14 +649,13 @@ def _unread_options(parser: argparse.ArgumentParser, *sources: str) -> set[str]:
 
 def test_every_option_is_read_by_its_command():
     """No dead options: each subcommand's option dests are all read as
-    ``args.<dest>``, by its handler or by ``main``, which emits every
-    payload in ``args.output``."""
-    subparsers = _subparsers()
-    assert set(subparsers) == set(_DISPATCH)
+    ``args.<dest>``, by the handler its subparser carries or by ``main``,
+    which emits every payload in ``args.output``."""
     shared = inspect.getsource(main)
-    for name, sub in subparsers.items():
-        handler = inspect.getsource(_DISPATCH[name])
-        assert _unread_options(sub, handler, shared) == set(), name
+    for name, sub in _subparsers().items():
+        handler = sub.get_default("run")
+        assert handler is not None, f"{name} carries no handler"
+        assert _unread_options(sub, inspect.getsource(handler), shared) == set(), name
 
 
 def test_an_unread_option_is_caught():

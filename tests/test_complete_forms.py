@@ -84,6 +84,12 @@ def test_adjoint_maps_match_commutators(n):
         assert ad_cut(v).expand() == commutator(cut, v.expand())
 
 
+@pytest.mark.parametrize("build, n", [(kn_basis, 1), (kn_ideal_basis, 1), (kn_ideal_basis, 0)])
+def test_explicit_bases_take_the_type_floor(build, n):
+    with pytest.raises(ValueError, match=r"^complete graph needs n >= 2$"):
+        build(n)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_explicit_basis_length_matches_formula(n):
     assert len(kn_basis(n)) == kn_formulas(n)["dim"]

@@ -370,6 +370,20 @@ def test_power_recursion_identity_exact(n):
     assert ab_recursion_identity_residual(n) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "n, pin",
+    [
+        (3, "0x1.8000000000002p-51"),
+        (7, "0x1.c71c71c71c71ep-54"),
+        (16, "0x1.05e1d27a3ee99p-50"),
+        (40, "0x1.8ed881d9f07e2p-45"),
+    ],
+)
+def test_power_recursion_residual_pinned(n, pin):
+    """The trig residual to the last bit, so a reordered sum shows."""
+    assert ab_recursion_identity_residual(n).hex() == pin
+
+
 @pytest.mark.parametrize("n", [3, 5, 8, 10])
 def test_power_trig_matches_recursion(n):
     """Closed-form rows agree with the integer recursion, relative to

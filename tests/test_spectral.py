@@ -1,6 +1,8 @@
 """Moment formulas: purities, expectation, and variance assembly."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,6 +135,60 @@ def test_expectation_of_orthogonal_observable_vanishes():
     rho = plus_state(n)
     outside = HermitianVector(n, {PauliString.from_label("YZIII"): 1})
     assert expectation(rho, outside, center) == 0
+
+
+def _two_branch_pairing(rho, obs, basis):
+    """The pairing rule as two branches: any float term in float, the rest
+    as an exact Fraction."""
+    terms = []
+    for b in basis:
+        num, num2, den = hs_inner(b, rho), hs_inner(b, obs), hs_inner(b, b)
+        if num == 0 or num2 == 0:
+            continue
+        if any(isinstance(x, float) for x in (num, num2, den)):
+            terms.append(num * num2 / den)
+        else:
+            terms.append(Fraction(num) * Fraction(num2) / Fraction(den))
+    return spectral._accumulate(terms)
+
+
+def _mixed_coeff(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    if kind == 1:
+        return Fraction(rng.choice([-5, -1, 1, 3, 7]), rng.choice([1, 2, 3, 7]))
+    return rng.uniform(-2.0, 2.0)
+
+
+def test_pairing_type_and_bits_follow_the_two_branch_rule():
+    """Mixed exact and float inputs: the value, its type and its float bits
+    equal the two-branch rule's.  Basis vectors mix int and float
+    coefficients, and some of their float keys miss rho and O, so an exact
+    numerator meets a float norm."""
+    n = 3
+    rng = random.Random(20240)
+    labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n)]
+    for _ in range(1500):
+        keys = rng.sample(labels, 12)
+        # disjoint supports: every basis is exactly orthogonal
+        basis = [
+            PauliVector(n, {PauliString.from_label(k): _mixed_coeff(rng) for k in keys[i:i + 3]})
+            for i in range(0, 12, 3)
+        ]
+
+        def state():
+            picks = rng.sample(keys, rng.randrange(1, 9))
+            return HermitianVector(n, {PauliString.from_label(k): _mixed_coeff(rng) for k in picks})
+
+        rho, obs = state(), state()
+        for got, want in (
+            (expectation(rho, obs, basis), _two_branch_pairing(rho, obs, basis)),
+            (purity(rho, basis), _two_branch_pairing(rho, rho, basis)),
+        ):
+            assert type(got) is type(want)
+            assert got == want
+            assert float(got).hex() == float(want).hex()
 
 
 def test_variance_assembly():
