@@ -29,7 +29,8 @@ one source of a graph's two generators, which the last two fold:
   ``symmetry.graph_group``, from its one orbit map
   ``PermGroup.orbits``), bracketed by the same kernel on a
   representative against a generator's whole expansion, then folded back
-  to orbits, once per (generator, orbit key);
+  to orbits, once per (generator, orbit key), by ``orbit_adjoint``, which
+  ``verify-cycle`` also reads to check the ring's bracket table;
 * type coordinates ``(p, q, r)`` for complete graphs, via the two
   generators' closed-form adjoint maps.
 
@@ -311,8 +312,7 @@ def nullspace_combos(vectors, memory_budget: int | None = None) -> list[dict]:
 # coordinate systems
 
 
-def _group_orbit_bracket(n: int, orbits: PackedOrbits, u: dict,
-                         memory_budget: int | None):
+def orbit_adjoint(n: int, orbits: PackedOrbits, u: dict, memory_budget: int | None):
     """The adjoint map v -> [S(u), v] of a group-invariant vector u, in
     orbit coordinates, with one memoised image per orbit key.
 
@@ -324,7 +324,8 @@ def _group_orbit_bracket(n: int, orbits: PackedOrbits, u: dict,
     c_b * image(b) over v's terms.  Every key of the reduced basis lies in
     a row the closure once imaged, so the center and ideal stages read
     the memo only.  Exact integer output.  The memo's entries, the terms
-    of its images, count against the memory budget.
+    of its images, count against the memory budget; ``None`` leaves it
+    unbounded.
     """
     full_u = {k: c for ka, c in u.items() for k in orbits.orbit(ka)[2]}
     images: dict[int, dict] = {}
@@ -529,7 +530,7 @@ def generate_dla_orbit_compressed(
         return _closure_engine(n, "complete-orbit", pairs, memory_budget)
     orbits = group.orbits
     gens = [dict.fromkeys(sorted({orbits.orbit(k)[0] for k in d}), 1) for d in keys]
-    pairs = [(d, _group_orbit_bracket(n, orbits, d, memory_budget)) for d in gens]
+    pairs = [(d, orbit_adjoint(n, orbits, d, memory_budget)) for d in gens]
     return _closure_engine(n, "group-orbit", pairs, memory_budget)
 
 

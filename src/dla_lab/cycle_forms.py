@@ -52,6 +52,12 @@ _KIND_INDEX = {k: i for i, k in enumerate(_KINDS)}
 _ring = lru_cache(maxsize=1)(Graph.cycle)  # graph_group then matches the ring by identity
 
 
+def _check_ring(n: int) -> None:
+    """The ring's floor, shared by its sums and its power rows."""
+    if n < 3:
+        raise ValueError("ring sums need n >= 3")
+
+
 def _fold(n: int, kind: str, offset: int):
     """Reduce (kind, offset) to the canonical vocabulary.
 
@@ -83,8 +89,7 @@ class CycleOrbitSum(SparseVector):
     __slots__ = ()
 
     def __init__(self, n: int, coeffs: dict | None = None):
-        if n < 3:
-            raise ValueError("ring sums need n >= 3")
+        _check_ring(n)
         super().__init__(n, coeffs)
 
     def _check_key(self, key: tuple[int, int]) -> None:
@@ -122,6 +127,7 @@ class CycleOrbitSum(SparseVector):
 
 def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
     """A single orbit with any integer offset, folded to canonical form."""
+    _check_ring(n)
     if coeff == 0:
         return CycleOrbitSum.zero(n)
     if kind in ("X", "XN1"):
@@ -288,6 +294,7 @@ def ab_power_coeffs(n: int, kmax: int) -> list[list[int]]:
     one and acts on YXZ coordinates as 8 times the sum of the two
     neighbour shifts, with walls at j = -1 and j = n-1 absorbing.
     """
+    _check_ring(n)
     width = n - 1
     rows = []
     row = [0] * width
@@ -324,6 +331,7 @@ def ab_power_trig_coeffs(n: int, k: int) -> list[float]:
     smaller than the row maximum, so their absolute error is set by the
     cancellation in this sum, not by their own size.
     """
+    _check_ring(n)
     out = []
     scale = 2 ** (4 * k - 2) / n
     for j in range(n - 1):
@@ -346,6 +354,7 @@ def ab_power_expansion_coeffs(n: int) -> list[int]:
     d_0 = 1, d_1 = x, d_m = x*d_{m-1} - 64*d_{m-2}, the polynomial is
     d_{n-1} and a_k is minus its x^{k-1} coefficient.
     """
+    _check_ring(n)
     d_prev = [1]
     d_cur = [0, 1]
     for _ in range(n - 2):
@@ -400,6 +409,7 @@ class Su2Triple(ValueTuple, namedtuple("Su2Triple", "k x y z")):
 
 def canonical_basis(n: int) -> list[CanonicalTriple]:
     """The n-1 raising/lowering triples of the ring closure (complex)."""
+    _check_ring(n)
     out = []
     for k in range(1, n):
         h = CycleOrbitSum.zero(n)
@@ -423,6 +433,7 @@ def canonical_basis(n: int) -> list[CanonicalTriple]:
 
 def su2_basis(n: int) -> list[Su2Triple]:
     """The n-1 real rotation triples spanning the commutator ideal."""
+    _check_ring(n)
     out = []
     for k in range(1, n):
         z = CycleOrbitSum.zero(n)

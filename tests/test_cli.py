@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ from dla_lab import cli, closure, complete_forms, cycle_forms, spectral, symmetr
 from dla_lab.cli import _basis_parity_ok, build_parser, main, render_json
 from dla_lab.closure import DlaReport, generate_dla, span_ledger
 from dla_lab.graphs import Graph, kn_formulas
-from dla_lab.paulis import PauliString, PauliVector
+from dla_lab.paulis import PauliString, PauliVector, commutator
 from dla_lab.symmetry import PermGroup
 
 
@@ -234,6 +235,80 @@ def test_a_wrong_power_expansion_fails_its_check(capsys, monkeypatch):
     assert (code, err) == (1, "")
     checks = json.loads(out)["checks"]
     assert [c["name"] for c in checks if c["status"] == "fail"] == ["power-recursion-identity"]
+
+
+def _table_check(capsys, n):
+    code, out, err = run(capsys, "verify-cycle", "--n", str(n))
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == "bracket-table-homomorphism")
+    return code, err, check["status"], check["residual"]
+
+
+def _mutated_table(monkeypatch, n, p1, p2, term, entry):
+    """Serve ring size n a copy of its bracket table with one term of one
+    cell replaced."""
+    table = [list(row) for row in cycle_forms._folded_table(n)]
+    cell = list(table[p1][p2])
+    cell[term] = entry
+    table[p1][p2] = tuple(cell)
+    monkeypatch.setattr(cycle_forms, "_folded_table", lambda size: table)
+
+
+def test_a_wrong_bracket_table_fails_its_check_at_n_10(capsys, monkeypatch):
+    """At n = 10 the ring's table is checked against the closure's orbit
+    adjoint, so one doubled structure constant fails the check."""
+    p1, p2 = next(
+        (p1, p2)
+        for p1, row in enumerate(cycle_forms._folded_table(10))
+        for p2, cell in enumerate(row)
+        if cell
+    )
+    coeff, pos = cycle_forms._folded_table(10)[p1][p2][0]
+    _mutated_table(monkeypatch, 10, p1, p2, 0, (2 * coeff, pos))
+    code, err, status, residual = _table_check(capsys, 10)
+    assert (code, err, status) == (1, "", "fail")
+    assert residual > 0
+
+
+def _raw_table_residual(n):
+    """The largest coefficient of table bracket minus Pauli commutator over
+    every pair of expanded basis orbits: the check's raw-string form."""
+    basis = cycle_forms.cycle_basis(n)
+    expanded = [b.expand() for b in basis]
+    worst = 0
+    for a, ea in zip(basis, expanded):
+        for b, eb in zip(basis, expanded):
+            diff = cycle_forms.orbit_bracket(a, b).expand() - commutator(ea, eb)
+            worst = max(worst, diff.max_abs())
+    return float(worst)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_orbit_table_check_reads_the_raw_residual(capsys, monkeypatch, n):
+    """Both sides of the check are dihedral-invariant, so its orbit residual
+    equals the raw-string residual, with the table intact and under seeded
+    single-term mutations: a scaled coefficient or a moved output."""
+    assert _table_check(capsys, n) == (0, "", "ok", 0.0)
+    rng = random.Random(n)
+    cells = [
+        (p1, p2)
+        for p1, row in enumerate(cycle_forms._folded_table(n))
+        for p2, cell in enumerate(row)
+        if cell
+    ]
+    for _ in range(4):
+        p1, p2 = rng.choice(cells)
+        cell = cycle_forms._folded_table(n)[p1][p2]
+        term = rng.randrange(len(cell))
+        coeff, pos = cell[term]
+        if rng.random() < 0.5:
+            entry = (coeff * rng.choice((0, -1, 2, 3)), pos)
+        else:
+            entry = (coeff, rng.choice([p for p in range(3 * n - 1) if p != pos]))
+        with monkeypatch.context() as m:
+            _mutated_table(m, n, p1, p2, term, entry)
+            code, err, status, residual = _table_check(capsys, n)
+            assert (code, err, status) == (1, "", "fail")
+            assert residual == _raw_table_residual(n) > 0
 
 
 def test_variance_cycle_four(capsys):

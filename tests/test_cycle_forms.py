@@ -364,6 +364,38 @@ def test_power_expansion_coefficients_small_cases():
     assert ab_power_expansion_coeffs(4) == [0, 128, 0]
 
 
+_RING_SIZE_CALLS = {
+    "orbit_term": lambda n: orbit_term(n, "ZXZ", 0),
+    "field_orbit": field_orbit,
+    "cut_orbit": cut_orbit,
+    "cycle_basis": cycle_basis,
+    "cycle_center": cycle_center,
+    "ab_power_coeffs": lambda n: ab_power_coeffs(n, 3),
+    "ab_power": lambda n: ab_power(n, 1),
+    "ab_power_trig_coeffs": lambda n: ab_power_trig_coeffs(n, 1),
+    "ab_power_expansion_coeffs": ab_power_expansion_coeffs,
+    "ab_recursion_identity_ok": ab_recursion_identity_ok,
+    "ab_recursion_identity_residual": ab_recursion_identity_residual,
+    "canonical_basis": canonical_basis,
+    "su2_basis": su2_basis,
+    "canonical_relation_residuals": canonical_relation_residuals,
+    "su2_relation_residuals": su2_relation_residuals,
+    "alternating_eigen_residual": alternating_eigen_residual,
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", _RING_SIZE_CALLS)
+def test_every_ring_function_names_the_floor_below_it(name, n):
+    """Below n = 3 there is no ring: each public function of a size raises
+    the sums' own ValueError, where the power rows used to return values
+    at n = 2 and raise IndexError, ZeroDivisionError or ArithmeticError
+    below it, and the spectral bases returned no triples."""
+    with pytest.raises(ValueError) as exc:
+        _RING_SIZE_CALLS[name](n)
+    assert str(exc.value) == "ring sums need n >= 3"
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_power_recursion_identity_exact(n):
     assert ab_recursion_identity_ok(n)
