@@ -222,15 +222,16 @@ def cmd_verify_cycle(args: argparse.Namespace) -> dict:
 
     n = args.n
     tol = args.tolerance
-    ring = Graph.cycle(n)
 
-    # spectral's report, first: a size past its float range exits at once. A
-    # failed report is run again without a bound only to show its residual
+    # spectral's report, first: a size past its float range exits before
+    # any ring is built. A failed report is run again without a bound only
+    # to show its residual
     try:
         spectral, ok = cycle_spectral_report(n, tol), True
     except ArithmeticError:
         spectral, ok = cycle_spectral_report(n, math.inf), False
 
+    ring = Graph.cycle(n)
     report = generate_dla_orbit_compressed(ring, args.memory_budget)
     checks = [
         _count_check("dimension-3n-minus-1", report.dimension, 3 * n - 1),

@@ -81,6 +81,7 @@ from math import gcd, lcm
 
 from .paulis import (
     PauliVector,
+    add_term,
     dict_to_pauli_vector,
     pauli_bracket,
     pauli_vector_to_dict,
@@ -117,15 +118,6 @@ def _grade(n: int, key) -> tuple[int, int]:
     """The key's parities of #X + #Y and of #Y."""
     nx, ny, _ = letter_counts(n, key)
     return (nx + ny) & 1, ny & 1
-
-
-def _add_term(acc: dict, key, c) -> None:
-    """acc[key] += c, dropping the key when the sum is zero."""
-    s = acc.get(key, 0) + c
-    if s == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 def _to_int_row(vec) -> dict:
@@ -370,9 +362,9 @@ def ad_field_type(n: int, v: dict) -> dict:
     out: dict[tuple[int, int, int], object] = {}
     for (p, q, r), c in v.items():
         if r >= 1:
-            _add_term(out, (p, q + 1, r - 1), 2 * (q + 1) * c)
+            add_term(out, (p, q + 1, r - 1), 2 * (q + 1) * c)
         if q >= 1:
-            _add_term(out, (p, q - 1, r + 1), -2 * (r + 1) * c)
+            add_term(out, (p, q - 1, r + 1), -2 * (r + 1) * c)
     return out
 
 
@@ -382,13 +374,13 @@ def ad_cut_type(n: int, v: dict) -> dict:
     for (p, q, r), c in v.items():
         m = n - p - q - r
         if q >= 1 and r >= 1:
-            _add_term(out, (p + 1, q - 1, r - 1), 2 * (m + 1) * (p + 1) * c)
+            add_term(out, (p + 1, q - 1, r - 1), 2 * (m + 1) * (p + 1) * c)
         if q >= 1 and m >= 1:
-            _add_term(out, (p + 1, q - 1, r + 1), 2 * (p + 1) * (r + 1) * c)
+            add_term(out, (p + 1, q - 1, r + 1), 2 * (p + 1) * (r + 1) * c)
         if p >= 1 and r >= 1:
-            _add_term(out, (p - 1, q + 1, r - 1), -2 * (m + 1) * (q + 1) * c)
+            add_term(out, (p - 1, q + 1, r - 1), -2 * (m + 1) * (q + 1) * c)
         if p >= 1 and m >= 1:
-            _add_term(out, (p - 1, q + 1, r + 1), -2 * (q + 1) * (r + 1) * c)
+            add_term(out, (p - 1, q + 1, r + 1), -2 * (q + 1) * (r + 1) * c)
     return out
 
 
@@ -538,7 +530,7 @@ def _combine_basis(rows: list[dict], combo: dict) -> dict:
     acc: dict = {}
     for i, c in combo.items():
         for k, cc in rows[i].items():
-            _add_term(acc, k, c * cc)
+            add_term(acc, k, c * cc)
     return acc
 
 

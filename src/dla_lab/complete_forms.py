@@ -62,6 +62,7 @@ class SymOrbitSum(SparseVector):
     def expand(self) -> PauliVector:
         """All placements of each triple, unit weight per string.
 
+        Each string has one type, so no two triples share a string.
         Exponential in n; capped at EXPANSION_VERTEX_CAP vertices.
         """
         n = self.n
@@ -69,11 +70,7 @@ class SymOrbitSum(SparseVector):
             raise ValueError(
                 f"type expansion capped at n={EXPANSION_VERTEX_CAP}"
             )
-        acc = PauliVector(n)
-        for (p, q, r), c in self.terms():
-            strings = _type_strings(n, p, q, r)
-            acc.accumulate(PauliVector(n, dict.fromkeys(strings, c)))
-        return acc
+        return PauliVector(n, {s: c for t, c in self.terms() for s in _type_strings(n, *t)})
 
 
 def _type_strings(n: int, p: int, q: int, r: int) -> list[PauliString]:

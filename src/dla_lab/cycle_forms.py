@@ -27,7 +27,8 @@ int tuples, the index taken in the order X, XN1, ZXZ, YXY, YXZ (X and XN1
 carry offset 0), so ``terms()`` is the sorted item list.  ``orbit_term``
 and ``coeff`` take kind names.  Coefficients are duck-typed: ints and
 Fractions for structural work, floats or complex for the trigonometric
-bases.  Builders grow their sums in place with ``accumulate``.
+bases.  Each closed-form sum states its ``(kind, offset, coeff)`` terms
+and ``_orbit_sum`` adds them up.
 
 Each ring orbit is an orbit of the ring's dihedral group, so the orbit
 map the closure itself uses, ``graph_group(Graph.cycle(n)).orbits``,
@@ -137,6 +138,15 @@ def orbit_term(n: int, kind: str, offset: int = 0, coeff=1) -> CycleOrbitSum:
         return CycleOrbitSum.zero(n)
     sign, key = folded
     return CycleOrbitSum(n, {key: sign * coeff})
+
+
+def _orbit_sum(n: int, terms) -> CycleOrbitSum:
+    """The sum of ``orbit_term(n, kind, offset, coeff)`` over the
+    ``(kind, offset, coeff)`` terms, added in their order."""
+    total = CycleOrbitSum.zero(n)
+    for kind, offset, coeff in terms:
+        total.accumulate(orbit_term(n, kind, offset, coeff))
+    return total
 
 
 def _orbit_member(n: int, key: tuple[int, int]) -> int:
@@ -269,16 +279,14 @@ def cycle_center(n: int) -> tuple[CycleOrbitSum, CycleOrbitSum]:
     they have disjoint orbit supports, so they are independent and
     orthogonal.
     """
-    center = []
-    for parity in (1, 0):
-        c = orbit_term(n, "X", coeff=-parity)
-        if (n - 1) % 2 == parity:
-            c.accumulate(orbit_term(n, "XN1"))
-        for t in range(parity, n - 1, 2):
-            c.accumulate(orbit_term(n, "ZXZ", t))
-            c.accumulate(orbit_term(n, "YXY", t))
-        center.append(c)
-    return tuple(center)
+    return tuple(
+        _orbit_sum(n, [
+            ("X", 0, -parity),
+            ("XN1", 0, int((n - 1) % 2 == parity)),
+            *((kind, t, 1) for t in range(parity, n - 1, 2) for kind in ("ZXZ", "YXY")),
+        ])
+        for parity in (1, 0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +324,7 @@ def ab_power(n: int, k: int) -> CycleOrbitSum:
     if k < 1:
         raise ValueError("alternating powers start at k = 1")
     row = ab_power_coeffs(n, k)[k - 1]
-    acc = CycleOrbitSum.zero(n)
-    for j, c in enumerate(row):
-        if c:
-            acc.accumulate(orbit_term(n, "YXZ", j, c))
-    return acc
+    return _orbit_sum(n, [("YXZ", j, c) for j, c in enumerate(row)])
 
 
 def ab_power_trig_coeffs(n: int, k: int) -> list[float]:
@@ -412,21 +416,17 @@ def canonical_basis(n: int) -> list[CanonicalTriple]:
     _check_ring(n)
     out = []
     for k in range(1, n):
-        h = CycleOrbitSum.zero(n)
-        for j in range(1, n):
-            c = -1j / (2 * n) * math.sin(k * j * math.pi / n)
-            h.accumulate(orbit_term(n, "YXZ", j - 1, c))
-        u = CycleOrbitSum.zero(n)
-        v = CycleOrbitSum.zero(n)
-        for j in range(n):
-            cu_y = -cmath.exp(-1j * k * (j + 1) * math.pi / n) / (4 * n)
-            cu_z = -cmath.exp(1j * k * j * math.pi / n) / (4 * n)
-            u.accumulate(orbit_term(n, "YXY", j - 1, cu_y))
-            u.accumulate(orbit_term(n, "ZXZ", j, cu_z))
-            cv_y = cmath.exp(1j * k * (j + 1) * math.pi / n) / (4 * n)
-            cv_z = cmath.exp(-1j * k * j * math.pi / n) / (4 * n)
-            v.accumulate(orbit_term(n, "YXY", j - 1, cv_y))
-            v.accumulate(orbit_term(n, "ZXZ", j, cv_z))
+        h = _orbit_sum(n, [
+            ("YXZ", j - 1, -1j / (2 * n) * math.sin(k * j * math.pi / n)) for j in range(1, n)
+        ])
+        u = _orbit_sum(n, [
+            *(("YXY", j - 1, -cmath.exp(-1j * k * (j + 1) * math.pi / n) / (4 * n)) for j in range(n)),
+            *(("ZXZ", j, -cmath.exp(1j * k * j * math.pi / n) / (4 * n)) for j in range(n)),
+        ])
+        v = _orbit_sum(n, [
+            *(("YXY", j - 1, cmath.exp(1j * k * (j + 1) * math.pi / n) / (4 * n)) for j in range(n)),
+            *(("ZXZ", j, cmath.exp(-1j * k * j * math.pi / n) / (4 * n)) for j in range(n)),
+        ])
         out.append(CanonicalTriple(k, h, u, v))
     return out
 
@@ -436,21 +436,17 @@ def su2_basis(n: int) -> list[Su2Triple]:
     _check_ring(n)
     out = []
     for k in range(1, n):
-        z = CycleOrbitSum.zero(n)
-        for j in range(1, n):
-            c = math.sin(k * j * math.pi / n) / (2 * n)
-            z.accumulate(orbit_term(n, "YXZ", j - 1, c))
-        x = CycleOrbitSum.zero(n)
-        y = CycleOrbitSum.zero(n)
-        for j in range(n):
-            cx_y = -math.sin(k * (j + 1) * math.pi / n) / (2 * n)
-            cx_z = math.sin(k * j * math.pi / n) / (2 * n)
-            x.accumulate(orbit_term(n, "YXY", j - 1, cx_y))
-            x.accumulate(orbit_term(n, "ZXZ", j, cx_z))
-            cy_y = math.cos(k * (j + 1) * math.pi / n) / (2 * n)
-            cy_z = math.cos(k * j * math.pi / n) / (2 * n)
-            y.accumulate(orbit_term(n, "YXY", j - 1, cy_y))
-            y.accumulate(orbit_term(n, "ZXZ", j, cy_z))
+        x = _orbit_sum(n, [
+            *(("YXY", j - 1, -math.sin(k * (j + 1) * math.pi / n) / (2 * n)) for j in range(n)),
+            *(("ZXZ", j, math.sin(k * j * math.pi / n) / (2 * n)) for j in range(n)),
+        ])
+        y = _orbit_sum(n, [
+            *(("YXY", j - 1, math.cos(k * (j + 1) * math.pi / n) / (2 * n)) for j in range(n)),
+            *(("ZXZ", j, math.cos(k * j * math.pi / n) / (2 * n)) for j in range(n)),
+        ])
+        z = _orbit_sum(n, [
+            ("YXZ", j - 1, math.sin(k * j * math.pi / n) / (2 * n)) for j in range(1, n)
+        ])
         out.append(Su2Triple(k, x, y, z))
     return out
 

@@ -26,8 +26,9 @@ Shared pieces
 -------------
 :class:`SparseVector` is the one sparse-vector core: every vector type in
 the package (Pauli, Hermitian, ring-orbit and type coordinates) is a
-subclass that only fixes its keys.  :func:`pauli_bracket` is the one Pauli
-bracket kernel, on dicts keyed by packed ``(x_mask << n) | z_mask`` ints;
+subclass that only fixes its keys, and :func:`add_term` is its one
+zero-dropping add (hot loops sum inline).  :func:`pauli_bracket` is the
+one Pauli bracket kernel, on dicts keyed by packed ``(x_mask << n) | z_mask`` ints;
 :func:`commutator` and both closure engines call it.  It tests a pair with
 one popcount and computes the phase inline (the symplectic rule of Aaronson
 & Gottesman, 2004); :func:`phase_exponent` is its test oracle.  Given keys
@@ -158,6 +159,15 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return not anticommute(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
 
 
+def add_term(acc: dict, key, c) -> None:
+    """acc[key] += c, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 class SparseVector:
     """Sparse vector: a size ``n`` and a zero-dropping ``{key: coeff}`` dict.
 
@@ -232,13 +242,8 @@ class SparseVector:
             )
         if self.n != other.n:
             raise ValueError(f"sizes differ: {self.n} != {other.n}")
-        acc = self._coeffs
         for key, c in other._coeffs.items():
-            s = acc.get(key, 0) + c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            add_term(self._coeffs, key, c)
 
     def __add__(self, other):
         out = self._new(dict(self._coeffs))

@@ -245,9 +245,10 @@ def _closed_forms(n: int):
     return whole, center, comps, expect, var
 
 
-def _recomputed_forms(n: int, tolerance: float):
+def _recomputed_forms(ring: Graph, tolerance: float):
+    n = ring.n
     rho = plus_state(n)
-    obs = cut_observable(Graph.cycle(n))
+    obs = cut_observable(ring)
     # each basis is expanded and checked for orthogonality once; failing
     # the check means the tolerance is below round-off, not a bad input
     def prepared(elements) -> list[PauliVector]:
@@ -287,20 +288,20 @@ def cycle_spectral_report(n: int, tolerance: float = 1e-9) -> SpectralReport:
     a value off its closed form by more than ``tolerance`` on that form's
     scale (``_within``) raises ArithmeticError.  Beyond the
     cap the closed forms are reported alone.  The measurement's purity is
-    2^n, so n must stay below the float exponent range (ValueError).
+    2^n, so n must stay below the float exponent range (ValueError),
+    checked first; the recompute's ``Graph.cycle(n)`` checks the floor.
     """
-    if n < 3:
-        raise ValueError("cycle graphs need n >= 3")
     if n >= sys.float_info.max_exp:
         raise ValueError(
             f"the cycle loss moments need n < {sys.float_info.max_exp}: "
             f"the measurement's purity 2^n overflows a float (got n = {n})"
         )
+    ring = Graph.cycle(n) if n <= RECOMPUTE_VERTEX_CAP else None
     whole, center, comps, expect, var = _closed_forms(n)
     residual = None
-    if n <= RECOMPUTE_VERTEX_CAP:
+    if ring is not None:
         r_whole, r_center, r_comps, r_expect, r_var = _recomputed_forms(
-            n, tolerance
+            ring, tolerance
         )
         pairs = [*zip(whole, r_whole), *zip(center, r_center), (expect, r_expect), (var, r_var)]
         for closed, got in zip(comps, r_comps):

@@ -595,7 +595,7 @@ def test_a_failed_spectral_check_still_reports_its_residual(capsys, n, tol, rela
     "argv, message",
     [
         # each family floor is stated once, by the call that builds the size
-        ("variance --family cycle --n 2", "cycle graphs need n >= 3"),
+        ("variance --family cycle --n 2", "cycle needs n >= 3"),
         ("verify-complete --n 1", "complete graph needs n >= 2"),
         ("sweep --family cycle --min 2 --max 4", "cycle needs n >= 3"),
         ("verify-cycle --n 2", "cycle needs n >= 3"),
@@ -620,6 +620,29 @@ def test_verify_cycle_checks_the_moments_range_before_its_closure(capsys, monkey
         "overflows a float (got n = 1024)"
     )
     assert run(capsys, "verify-cycle", "--n", "1024") == (2, "", f"error: {message}\n")
+
+
+def test_verify_cycle_builds_no_ring_past_the_moments_range(capsys, monkeypatch):
+    """The float-range exit comes before any ring is built: a ring of
+    millions of vertices took seconds and gigabytes only to be dropped."""
+    build = Graph.cycle
+
+    def guarded(n):
+        if n > 1023:
+            pytest.fail(f"built a {n}-vertex ring")
+        return build(n)
+
+    monkeypatch.setattr(Graph, "cycle", staticmethod(guarded))
+    code, out, err = run(capsys, "verify-cycle", "--n", "3000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the cycle loss moments need n < 1024")
+
+
+def test_the_ring_floor_reads_the_same_from_both_cycle_commands(capsys):
+    """verify-cycle and variance both take the floor from Graph.cycle."""
+    verify = run(capsys, "verify-cycle", "--n", "2")
+    variance = run(capsys, "variance", "--family", "cycle", "--n", "2")
+    assert verify == variance == (2, "", "error: cycle needs n >= 3\n")
 
 
 def test_verify_cycle_leaves_the_recompute_cap_to_spectral(capsys, monkeypatch):
