@@ -450,17 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="report format; csv writes one line per size (default json)",
     )
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument(
+        "--graph",
+        required=True,
+        help="cycle:N | complete:N | path:N | file:PATH",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "compute",
-        parents=[budget, output],
+        parents=[budget, output, graph],
         help="closure dimensions and bounds for one graph",
-    )
-    p.add_argument(
-        "--graph",
-        required=True,
-        help="cycle:N | complete:N | path:N | file:PATH",
     )
     p.add_argument(
         "--orbit-compress",
@@ -486,13 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bounds",
-        parents=[output],
+        parents=[output, graph],
         help="symmetry dimension bounds without running the closure",
-    )
-    p.add_argument(
-        "--graph",
-        required=True,
-        help="cycle:N | complete:N | path:N | file:PATH",
     )
     p.set_defaults(run=cmd_bounds)
 

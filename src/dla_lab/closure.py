@@ -48,9 +48,12 @@ Raw images are evaluated at the pivots only (``pauli_bracket``'s ``at``)
 when the pivots are fewer than the row's terms.
 The center's basis is ``nullspace_combos`` of the stacked restricted
 images, and every stage runs under the closure's memory budget.
+``_stage`` alone says where a budget error gave up: a closure round, the
+closure's reduction, or the center or ideal stage.
 
 Pauli strings are graded by two parities, of #X + #Y and of #Y
-(``letter_counts`` decodes a key of either kind): anticommuting strings
+(``letter_counts`` reads a key of either kind, a packed one through
+``paulis.xyz_counts``): anticommuting strings
 of grades (a, b) and (c, d) multiply to grade (a + c, b + d + 1), since
 the letters anticommute at an odd number of sites, each of which flips
 the count of Y.  When every generator is of one grade, so is every
@@ -86,6 +89,7 @@ from .paulis import (
     pauli_bracket,
     pauli_vector_to_dict,
     unpack_pauli,
+    xyz_counts,
 )
 from .symmetry import PackedOrbits, graph_group
 
@@ -105,13 +109,9 @@ def _check_budget(holder: str, count: int, budget: int | None) -> None:
 
 def letter_counts(n: int, key) -> tuple[int, int, int]:
     """(#X, #Y, #Z) of a ledger key: a type key ``(p, q, r)`` is its own
-    counts; a packed key ``(x_mask << n) | z_mask`` has an X where only the
-    x bit is set, a Y where both are and a Z where only the z bit is."""
-    if type(key) is tuple:
-        return key
-    x, z = key >> n, key & ((1 << n) - 1)
-    ny = (x & z).bit_count()
-    return x.bit_count() - ny, ny, z.bit_count() - ny
+    counts, a packed key ``(x_mask << n) | z_mask`` is decoded by
+    ``paulis.xyz_counts``."""
+    return key if type(key) is tuple else xyz_counts(key >> n, key & ((1 << n) - 1))
 
 
 def _grade(n: int, key) -> tuple[int, int]:
@@ -445,7 +445,7 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
     frontier = []
     graded = True
     round_no = 0
-    try:
+    with _stage(lambda: f"closure round {round_no} (frontier size {len(frontier)})"):
         for gd, ad in generators:
             row = ledger.insert(gd)
             if row is not None:
@@ -461,12 +461,8 @@ def _closure_engine(n: int, coords: str, generators, memory_budget) -> DlaReport
                     if row is not None:
                         new.append(row)
             frontier = new
+    with _stage(lambda: "the closure's reduction"):
         ledger = ledger.reduced()
-    except ResourceBudgetError as exc:
-        raise ResourceBudgetError(
-            f"{exc}; gave up in closure round {round_no} "
-            f"(frontier size {len(frontier)})"
-        ) from None
     return DlaReport(
         dimension=ledger.rank,
         degree=max(round_no - 1, 0),  # every round but the last added
@@ -584,18 +580,18 @@ def _center_map(report: DlaReport, rows: list[dict]):
 
 
 @contextmanager
-def _stage(name: str):
-    """Name the stage in a budget error raised inside the block."""
+def _stage(where):
+    """Name where a budget error raised in the block gave up, ``where()`` read then."""
     try:
         yield
     except ResourceBudgetError as exc:
-        raise ResourceBudgetError(f"{exc}; gave up in the {name} stage") from None
+        raise ResourceBudgetError(f"{exc}; gave up in {where()}") from None
 
 
 def _rank_ledger(report: DlaReport, stage: str, vectors) -> LinearLedger:
     """Echelon ledger of the vectors under the report's memory budget; a
     budget error names the stage."""
-    with _stage(stage):
+    with _stage(lambda: f"the {stage} stage"):
         return span_ledger(vectors, report.ledger.memory_budget)
 
 
@@ -630,7 +626,7 @@ def center(report: DlaReport) -> list:
     budget.  Exact.
     """
     out = []
-    with _stage("center"):
+    with _stage(lambda: "the center stage"):
         for rows in _grade_groups(report):
             combos = nullspace_combos(
                 _center_map(report, rows), report.ledger.memory_budget

@@ -451,6 +451,11 @@ def su2_basis(n: int) -> list[Su2Triple]:
     return out
 
 
+def _note(worst: dict, name: str, vec) -> None:
+    """Keep in ``worst[name]`` the largest max-abs coefficient noted."""
+    worst[name] = max(worst[name], vec.max_abs())
+
+
 def canonical_relation_residuals(n: int) -> dict[str, float]:
     """Worst-case residuals of the raising/lowering bracket relations.
 
@@ -463,44 +468,36 @@ def canonical_relation_residuals(n: int) -> dict[str, float]:
         "h-u-raise", "h-v-lower", "u-v-cartan", "h-h-zero", "u-u-zero",
         "v-v-zero", "cross-h-u", "cross-h-v", "cross-u-v",
     ), 0.0)
-
-    def note(name, vec):
-        worst[name] = max(worst[name], vec.max_abs())
-
     for a in triples:
         for b in triples:
             if a.k == b.k:
-                note("h-u-raise", orbit_bracket(a.h, b.u) - b.u.scaled(2))
-                note("h-v-lower", orbit_bracket(a.h, b.v) + b.v.scaled(2))
-                note("u-v-cartan", orbit_bracket(a.u, b.v) - a.h)
+                _note(worst, "h-u-raise", orbit_bracket(a.h, b.u) - b.u.scaled(2))
+                _note(worst, "h-v-lower", orbit_bracket(a.h, b.v) + b.v.scaled(2))
+                _note(worst, "u-v-cartan", orbit_bracket(a.u, b.v) - a.h)
             else:
-                note("cross-h-u", orbit_bracket(a.h, b.u))
-                note("cross-h-v", orbit_bracket(a.h, b.v))
-                note("cross-u-v", orbit_bracket(a.u, b.v))
-            note("h-h-zero", orbit_bracket(a.h, b.h))
-            note("u-u-zero", orbit_bracket(a.u, b.u))
-            note("v-v-zero", orbit_bracket(a.v, b.v))
+                _note(worst, "cross-h-u", orbit_bracket(a.h, b.u))
+                _note(worst, "cross-h-v", orbit_bracket(a.h, b.v))
+                _note(worst, "cross-u-v", orbit_bracket(a.u, b.v))
+            _note(worst, "h-h-zero", orbit_bracket(a.h, b.h))
+            _note(worst, "u-u-zero", orbit_bracket(a.u, b.u))
+            _note(worst, "v-v-zero", orbit_bracket(a.v, b.v))
     return worst
 
 
 def su2_relation_residuals(n: int) -> dict[str, float]:
     """Worst-case residuals of the cyclic rotation-triple relations."""
     worst = dict.fromkeys(("x-y", "y-z", "z-x", "cross-mode"), 0.0)
-
-    def note(name, vec):
-        worst[name] = max(worst[name], vec.max_abs())
-
     triples = su2_basis(n)
     for a in triples:
-        note("x-y", orbit_bracket(a.x, a.y) - a.z.scaled(2))
-        note("y-z", orbit_bracket(a.y, a.z) - a.x.scaled(2))
-        note("z-x", orbit_bracket(a.z, a.x) - a.y.scaled(2))
+        _note(worst, "x-y", orbit_bracket(a.x, a.y) - a.z.scaled(2))
+        _note(worst, "y-z", orbit_bracket(a.y, a.z) - a.x.scaled(2))
+        _note(worst, "z-x", orbit_bracket(a.z, a.x) - a.y.scaled(2))
         for b in triples:
             if a.k == b.k:
                 continue
             for u in (a.x, a.y, a.z):
                 for v in (b.x, b.y, b.z):
-                    note("cross-mode", orbit_bracket(u, v))
+                    _note(worst, "cross-mode", orbit_bracket(u, v))
     return worst
 
 

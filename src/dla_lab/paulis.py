@@ -138,11 +138,16 @@ class PauliType(ValueTuple, namedtuple("PauliType", "n_I n_X n_Y n_Z")):
         return (self.n_Y + self.n_Z) % 2 == 0
 
 
+def xyz_counts(x_mask: int, z_mask: int) -> tuple[int, int, int]:
+    """(#X, #Y, #Z) of the string with these masks: an X where only the x
+    bit is set, a Y where both are and a Z where only the z bit is."""
+    n_y = (x_mask & z_mask).bit_count()
+    return x_mask.bit_count() - n_y, n_y, z_mask.bit_count() - n_y
+
+
 def pauli_type(p: PauliString) -> PauliType:
-    n_y = (p.x_mask & p.z_mask).bit_count()
-    n_x = p.x_mask.bit_count() - n_y
-    n_z = p.z_mask.bit_count() - n_y
-    return PauliType(p.n - n_x - n_y - n_z, n_x, n_y, n_z)
+    counts = xyz_counts(p.x_mask, p.z_mask)
+    return PauliType(p.n - sum(counts), *counts)
 
 
 def multiply(a: PauliString, b: PauliString) -> tuple[int, PauliString]:

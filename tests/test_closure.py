@@ -384,6 +384,18 @@ def test_orbit_memo_counts_against_the_memory_budget():
     )
 
 
+def test_budget_error_in_the_reduction_names_the_reduction():
+    """The closure of orbit K_6 ends with 59 entries, under a budget of 60,
+    but its 67-entry reduced rows are over it: the rounds are over, so the
+    message names the reduction, not a round."""
+    with pytest.raises(ResourceBudgetError) as exc:
+        generate_dla_orbit_compressed(Graph.complete(6), memory_budget=60)
+    assert str(exc.value) == (
+        "ledger holds 61 entries, over the budget of 60; "
+        "gave up in the closure's reduction"
+    )
+
+
 def test_orbit_compressed_rejects_edgeless_and_over_cap_graphs():
     with pytest.raises(ValueError, match="no edges"):
         generate_dla_orbit_compressed(Graph(4, ()))
